@@ -1,0 +1,34 @@
+"""A growing sequence memo that threads can share."""
+
+import threading
+from typing import Callable
+
+
+class Memo:
+    """The terms of a sequence whose next term is `step(terms)`.
+
+    Extension holds a lock, so each term is built once and in order however
+    many threads ask for it; a term already built is read without the lock.
+    """
+
+    def __init__(self, seed: list, step: Callable[[list], object]) -> None:
+        self._seed_len = len(seed)
+        self._step = step
+        self._lock = threading.Lock()
+        self._terms = list(seed)
+
+    def __getitem__(self, n: int):
+        terms = self._terms
+        if 0 <= n < len(terms):
+            return terms[n]
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        with self._lock:
+            while len(terms) <= n:
+                terms.append(self._step(terms))
+        return terms[n]
+
+    def clear(self) -> None:
+        """Drop every term past the seed."""
+        with self._lock:
+            del self._terms[self._seed_len:]

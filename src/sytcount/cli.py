@@ -212,8 +212,9 @@ def _fraction_obj(value) -> dict:
 
 
 def _cmd_verify(args, parser) -> tuple[str, int]:
-    if args.max_cells is not None and args.max_cells < 0:
-        parser.error("--max-cells must be >= 0")
+    for flag, value in (("--max-cells", args.max_cells), ("--oracle-cap", args.oracle_cap)):
+        if value is not None and value < 0:
+            parser.error(f"{flag} must be >= 0")
     report = run_suite(args.suite, max_cells=args.max_cells,
                        oracle_cap=args.oracle_cap)
     text = report.to_json() if args.format == "json" else report.to_csv_text()
@@ -237,9 +238,5 @@ def run(argv: Sequence[str] | None = None) -> int:
     return status
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass
 from functools import cache
 
+from ._memo import Memo
 from .counting import syt_count_hlf
-from .report import CheckResult, VerificationReport
+from .report import VerificationReport, run_check
 from .shapes import ColumnShape, ShapeFamilyQuery, enumerate_family, r3_shape
 
 DEFINITIONAL = "definitional"
@@ -30,7 +31,12 @@ class NegativeEntryError(ArithmeticError):
 
 # --- the two-column triangle ------------------------------------------------
 
-_alpha_rows: list[list[int]] = [[1]]
+def _next_alpha_row(rows: list[list[int]]) -> list[int]:
+    padded = rows[-1] + [0]  # the new row may be one entry longer
+    return [1] + [padded[j] + padded[j - 1] for j in range(1, len(rows) // 2 + 1)]
+
+
+_alpha_rows = Memo([[1]], _next_alpha_row)
 
 
 def alpha(n: int, i: int) -> int:
@@ -44,14 +50,6 @@ def alpha(n: int, i: int) -> int:
         raise ValueError("alpha needs n >= 0 and i >= 0")
     if i > n // 2:
         return 0
-    while len(_alpha_rows) <= n:
-        m = len(_alpha_rows)
-        prev = _alpha_rows[m - 1]
-
-        def at(x: int) -> int:
-            return prev[x] if 0 <= x < len(prev) else 0
-
-        _alpha_rows.append([1] + [at(j) + at(j - 1) for j in range(1, m // 2 + 1)])
     return _alpha_rows[n][i]
 
 
@@ -142,13 +140,11 @@ def seed_rows(s: int) -> int:
 
 
 def _recurrence_entry(s: int, n: int, i: int, prev_row: list[int]) -> int:
-    def prev(x: int) -> int:
-        return prev_row[x] if 0 <= x < len(prev_row) else 0
-
+    prev = prev_row + [0, 0]  # entries past the previous row read as 0
     if i == 0:
-        value = (s - 2) * prev(0) + prev(1)
+        value = (s - 2) * prev[0] + prev[1]
     else:
-        value = prev(i - 1) + (s - 2) * prev(i) + prev(i + 1)
+        value = prev[i - 1] + (s - 2) * prev[i] + prev[i + 1]
     for term in entry_corrections(s, n, i):
         value -= term.value
         if value < 0:
@@ -158,19 +154,18 @@ def _recurrence_entry(s: int, n: int, i: int, prev_row: list[int]) -> int:
     return value
 
 
-_rec_rows: dict[int, list[list[int]]] = {}
-
-
-def _recurrence_rows(s: int, max_n: int) -> list[list[int]]:
-    rows = _rec_rows.setdefault(s, [])
-    if not rows:
-        rows.extend([gamma_def(s, n, i) for i in range(n // 2 + 1)]
-                    for n in range(seed_rows(s) + 1))
-    while len(rows) <= max_n:
+def _recurrence_memo(s: int) -> Memo:
+    def step(rows: list[list[int]]) -> list[int]:
         n = len(rows)
-        prev = rows[n - 1]
-        rows.append([_recurrence_entry(s, n, i, prev) for i in range(n // 2 + 1)])
-    return rows
+        if n <= seed_rows(s):
+            return [gamma_def(s, n, i) for i in range(n // 2 + 1)]
+        return [_recurrence_entry(s, n, i, rows[n - 1]) for i in range(n // 2 + 1)]
+
+    return Memo([], step)
+
+
+# One row memo per width, held as the terms of a memo indexed by s.
+_rec_rows = Memo([], lambda widths: _recurrence_memo(len(widths)))
 
 
 def gamma_rec(s: int, n: int, i: int) -> int:
@@ -182,7 +177,7 @@ def gamma_rec(s: int, n: int, i: int) -> int:
     _check_indices(s, n, i)
     if i > n // 2:
         return 0
-    return _recurrence_rows(s, n)[n][i]
+    return _rec_rows[s][n][i]
 
 
 @dataclass
@@ -243,11 +238,8 @@ def build_table(s: int, max_n: int, method: str = DEFINITIONAL) -> GammaTable:
         entry = _two_column_def if s == 2 else lambda n, i: gamma_def(s, n, i)
         rows = [[entry(n, i) for i in range(n // 2 + 1)] for n in range(max_n + 1)]
     elif method == RECURRENCE:
-        if s == 2:
-            rows = [[alpha(n, i) for i in range(n // 2 + 1)]
-                    for n in range(max_n + 1)]
-        else:
-            rows = [list(row) for row in _recurrence_rows(s, max_n)[:max_n + 1]]
+        rec_rows = _alpha_rows if s == 2 else _rec_rows[s]
+        rows = [list(rec_rows[n]) for n in range(max_n + 1)]
     else:
         raise ValueError(f"unknown method {method!r}")
     return GammaTable(s=s, method=method, rows=rows)
@@ -260,22 +252,15 @@ def compare_methods(s: int, max_n: int) -> VerificationReport:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     start = time.perf_counter()
-    checked = 0
-    counterexample = None
-    for n in range(max_n + 1):
-        for i in range(n // 2 + 1):
-            checked += 1
-            by_def = gamma_def(s, n, i)
-            by_rec = gamma_rec(s, n, i)
-            if by_def != by_rec and counterexample is None:
-                counterexample = (f"n={n}, i={i}: definitional={by_def}, "
-                                  f"recurrence={by_rec}")
-    check = CheckResult(
-        name="gamma-def-vs-recurrence",
-        scope=f"s={s}, n<={max_n} ({checked} entries)",
-        passed=counterexample is None,
-        checked=checked,
-        counterexample=counterexample,
-    )
+    entries = [(n, i) for n in range(max_n + 1) for i in range(n // 2 + 1)]
+
+    def cases():
+        for n, i in entries:
+            by_def, by_rec = gamma_def(s, n, i), gamma_rec(s, n, i)
+            yield (f"n={n}, i={i}: definitional={by_def}, recurrence={by_rec}",
+                   by_def == by_rec)
+
+    check = run_check("gamma-def-vs-recurrence",
+                      f"s={s}, n<={max_n} ({len(entries)} entries)", cases())
     return VerificationReport(suite=f"gamma-compare-s{s}", checks=[check],
                               elapsed=time.perf_counter() - start)

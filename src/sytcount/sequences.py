@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
+from ._memo import Memo
 from .gamma import alpha, gamma_def, gamma_rec, row_correction_terms
 
 TAU_METHODS = ("definition", "recurrence", "closed")
@@ -29,38 +30,43 @@ def parity_indicator(n: int) -> int:
     return 1 if n % 2 == 0 else 0
 
 
+def _parity_term(n: int) -> int:
+    """The Catalan term C_{n/2} of the totals recurrence when n is even, else 0."""
+    return catalan(n // 2) if parity_indicator(n) else 0
+
+
 # --- reference sequences (independent of all tableau counting) ----------------
 
-_catalans = [1]
+def _next_catalan(terms: list[int]) -> int:
+    m = len(terms) - 1
+    quotient, remainder = divmod(terms[m] * 2 * (2 * m + 1), m + 2)
+    if remainder:  # pragma: no cover - the recurrence is exact
+        raise ArithmeticError("Catalan recurrence lost exactness")
+    return quotient
+
+
+_catalans = Memo([1], _next_catalan)
 
 
 def catalan(n: int) -> int:
     """n-th Catalan number, via C_{m+1} = C_m * 2(2m+1) / (m+2)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_catalans) <= n:
-        m = len(_catalans) - 1
-        quotient, remainder = divmod(_catalans[-1] * 2 * (2 * m + 1), m + 2)
-        if remainder:  # pragma: no cover - the recurrence is exact
-            raise ArithmeticError("Catalan recurrence lost exactness")
-        _catalans.append(quotient)
     return _catalans[n]
 
 
-_motzkins = [1, 1]
+def _next_motzkin(terms: list[int]) -> int:
+    m = len(terms)
+    numerator = (2 * m + 1) * terms[m - 1] + 3 * (m - 1) * terms[m - 2]
+    quotient, remainder = divmod(numerator, m + 2)
+    if remainder:  # pragma: no cover - the recurrence is exact
+        raise ArithmeticError("Motzkin recurrence lost exactness")
+    return quotient
+
+
+_motzkins = Memo([1, 1], _next_motzkin)
 
 
 def motzkin(n: int) -> int:
     """n-th Motzkin number, via (m+2) M_m = (2m+1) M_{m-1} + 3(m-1) M_{m-2}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_motzkins) <= n:
-        m = len(_motzkins)
-        numerator = (2 * m + 1) * _motzkins[m - 1] + 3 * (m - 1) * _motzkins[m - 2]
-        quotient, remainder = divmod(numerator, m + 2)
-        if remainder:  # pragma: no cover - the recurrence is exact
-            raise ArithmeticError("Motzkin recurrence lost exactness")
-        _motzkins.append(quotient)
     return _motzkins[n]
 
 
@@ -75,22 +81,39 @@ def central_binomial(n: int) -> int:
     return value
 
 
-_involutions = [1, 1]
+_involutions = Memo([1, 1], lambda terms: terms[-1] + (len(terms) - 1) * terms[-2])
 
 
 def involutions(n: int) -> int:
     """Number of involutions of n letters: I(n) = I(n-1) + (n-1) I(n-2)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_involutions) <= n:
-        m = len(_involutions)
-        _involutions.append(_involutions[m - 1] + (m - 1) * _involutions[m - 2])
     return _involutions[n]
 
 
 # --- totals -------------------------------------------------------------------
 
-_growth_states: dict[int, list] = {}
+def _growth_totals(s: int) -> Memo:
+    frontier: dict[tuple[int, ...], int] = {}
+
+    def step(totals: list[int]) -> int:
+        # Keep only the current level; a first step (also after clear()) starts afresh.
+        nonlocal frontier
+        if len(totals) == 1:
+            frontier = {(0,) * s: 1}
+        level: dict[tuple[int, ...], int] = {}
+        get = level.get
+        for cols, count in frontier.items():
+            for k in range(s):
+                if k == 0 or cols[k - 1] > cols[k]:
+                    grown = cols[:k] + (cols[k] + 1,) + cols[k + 1:]
+                    level[grown] = get(grown, 0) + count
+        frontier = level
+        return sum(level.values())
+
+    return Memo([1], step)
+
+
+# One totals memo per width, held as the terms of a memo indexed by s.
+_growth_states = Memo([], lambda widths: _growth_totals(len(widths)))
 
 
 def tau_growth(s: int, n: int) -> int:
@@ -105,19 +128,7 @@ def tau_growth(s: int, n: int) -> int:
         raise ValueError("width bound must be at least 2")
     if n < 0:
         raise ValueError("cell count must be >= 0")
-    state = _growth_states.setdefault(s, [[1], {(0,) * s: 1}])
-    totals, frontier = state
-    while len(totals) <= n:
-        level: dict[tuple[int, ...], int] = {}
-        get = level.get
-        for cols, count in frontier.items():
-            for k in range(s):
-                if k == 0 or cols[k - 1] > cols[k]:
-                    grown = cols[:k] + (cols[k] + 1,) + cols[k + 1:]
-                    level[grown] = get(grown, 0) + count
-        totals.append(sum(level.values()))
-        state[1] = frontier = level
-    return totals[n]
+    return _growth_states[s][n]
 
 
 @cache
@@ -131,32 +142,24 @@ def _rec_row_sum(s: int, n: int) -> int:
     return sum(gamma_rec(s, n, i) for i in range(n // 2 + 1))
 
 
-_tau2_chain = [1]
+_tau2_chain = Memo([1], lambda terms: 2 * terms[-1] - _parity_term(len(terms) - 1))
 
 
-def _tau2_recurrence(n: int) -> int:
-    while len(_tau2_chain) <= n:
-        m = len(_tau2_chain)
-        value = 2 * _tau2_chain[m - 1]
-        if (m - 1) % 2 == 0:
-            value -= catalan((m - 1) // 2)
-        _tau2_chain.append(value)
-    return _tau2_chain[n]
+def _checked_steps(s: int) -> Memo:
+    """Steps s, s+1, ... of the width-s totals recurrence, each verified once."""
+    return Memo([None] * s,
+                lambda steps: tau_recurrence_step(s, len(steps), method="recurrence"))
 
 
-_steps_checked: dict[int, int] = {}
+_steps_checked = Memo([], lambda widths: _checked_steps(len(widths)))
 
 
 def _tau_recurrence(s: int, n: int) -> int:
     if s == 2:
-        return _tau2_recurrence(n)
+        return _tau2_chain[n]
     # Walk the step identity once per new row so every recurrence total is
     # certified against the row sums it aggregates.
-    top = _steps_checked.get(s, s - 1)
-    for m in range(top + 1, n + 1):
-        tau_recurrence_step(s, m, method="recurrence")
-    if n > top:
-        _steps_checked[s] = n
+    _steps_checked[s][n]
     return _rec_row_sum(s, n)
 
 
@@ -233,17 +236,16 @@ def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurr
         gamma0 = 0 if s == 2 else gamma_def(s, n - 1, 0)
     elif method == "recurrence":
         if s == 2:
-            total_prev, total_here = _tau2_recurrence(n - 1), _tau2_recurrence(n)
+            total_prev, total_here = _tau2_chain[n - 1], _tau2_chain[n]
         else:
             total_prev, total_here = _rec_row_sum(s, n - 1), _rec_row_sum(s, n)
         gamma0 = 0 if s == 2 else gamma_rec(s, n - 1, 0)
     else:
         raise ValueError(f"unknown method {method!r}")
-    parity = catalan((n - 1) // 2) if (n - 1) % 2 == 0 else 0
     terms = TauRecurrenceTerms(
         s=s, n=n,
         main=s * total_prev,
-        parity_term=parity,
+        parity_term=_parity_term(n - 1),
         gamma0_term=gamma0,
         correction_total=correction_aggregate(s, n),
     )
@@ -291,9 +293,8 @@ def ratio_decomposition(n: int) -> RatioParts:
     if n < 3:
         raise ValueError("the decomposition needs n >= 3")
     denominator = tau_growth(3, n - 1)
-    parity = catalan((n - 1) // 2) if (n - 1) % 2 == 0 else 0
     return RatioParts(
-        parity=Fraction(parity, denominator),
+        parity=Fraction(_parity_term(n - 1), denominator),
         gamma0=Fraction(gamma_def(3, n - 1, 0), denominator),
         correction=Fraction(correction_aggregate(3, n), denominator),
     )

@@ -22,7 +22,7 @@ class ColumnShape:
     def __post_init__(self) -> None:
         cols = tuple(self.columns)
         object.__setattr__(self, "columns", cols)
-        if any(not isinstance(c, int) or c < 1 for c in cols):
+        if any(type(c) is not int or c < 1 for c in cols):
             raise ValueError(f"column lengths must be positive integers: {cols!r}")
         if any(cols[k] < cols[k + 1] for k in range(len(cols) - 1)):
             raise ValueError(f"column lengths must be weakly decreasing: {cols!r}")

@@ -4,21 +4,20 @@ reports."""
 
 from __future__ import annotations
 
+import inspect
 import time
 from fractions import Fraction
 from math import factorial
 
 from .counting import (DEFAULT_ENUMERATION_CAP, syt_count_hlf,
                        syt_count_recursive, syt_enumerate)
-from .gamma import (alpha, ballot_entry, compare_methods, correction_r,
-                    correction_r3, entry_corrections, gamma_def)
+from .gamma import (NegativeEntryError, _recurrence_entry, _two_column_def, alpha,
+                    ballot_entry, compare_methods, correction_r, correction_r3, gamma_def)
 from .report import CheckResult, VerificationReport, run_check
 from .sequences import (RecurrenceMismatchError, catalan, central_binomial,
-                        involutions, motzkin, ratio, ratio_decomposition,
+                        involutions, motzkin, parity_indicator, ratio, ratio_decomposition,
                         tau, tau_growth, tau_recurrence_step)
 from .shapes import ColumnShape, conjugate, partitions_at_most
-
-SUITE_NAMES = ("alpha", "gamma3", "gammaS", "tau", "ratio", "oracle", "all")
 
 
 def _timed(suite: str, builders) -> VerificationReport:
@@ -53,9 +52,8 @@ def suite_alpha(max_n: int = 40, catalan_n: int = 30) -> VerificationReport:
         def cases():
             for n in range(max_n + 1):
                 for i in range(n // 2 + 1):
-                    cols = (n - i, i) if i else ((n,) if n else ())
-                    expected = syt_count_hlf(ColumnShape(cols))
-                    yield f"alpha({n},{i}) != hook count", alpha(n, i) == expected
+                    yield (f"alpha({n},{i}) != hook count",
+                           alpha(n, i) == _two_column_def(n, i))
         yield run_check("alpha-hook-agreement", f"n<={max_n}", cases())
 
     def columnwise():
@@ -86,26 +84,18 @@ def suite_alpha(max_n: int = 40, catalan_n: int = 30) -> VerificationReport:
 
 # --- width-3 table ---------------------------------------------------------------
 
-def _recurrence_on_definitional(s: int, n: int, i: int) -> int:
-    """Right-hand side of the row recurrence with definitional entries
-    substituted, so the recurrence itself is what gets tested."""
-    def g(nn: int, ii: int) -> int:
-        return gamma_def(s, nn, ii) if ii >= 0 else 0
-
-    if i == 0:
-        value = (s - 2) * g(n - 1, 0) + g(n - 1, 1)
-    else:
-        value = g(n - 1, i - 1) + (s - 2) * g(n - 1, i) + g(n - 1, i + 1)
-    return value - sum(term.value for term in entry_corrections(s, n, i))
-
-
 def _recurrence_identity_check(s: int, max_n: int) -> CheckResult:
+    """The row recurrence applied to the definitional previous row, so the
+    recurrence itself is what gets tested."""
     def cases():
         for n in range(1, max_n + 1):
+            prev_row = [gamma_def(s, n - 1, i) for i in range((n - 1) // 2 + 1)]
             for i in range(n // 2 + 1):
-                expected = gamma_def(s, n, i)
-                yield (f"recurrence misses definitional value at s={s}, n={n}, i={i}",
-                       _recurrence_on_definitional(s, n, i) == expected)
+                try:
+                    ok = _recurrence_entry(s, n, i, prev_row) == gamma_def(s, n, i)
+                except NegativeEntryError:
+                    ok = False
+                yield (f"recurrence misses definitional value at s={s}, n={n}, i={i}", ok)
     return run_check(f"recurrence-identity-s{s}", f"1<=n<={max_n}", cases())
 
 
@@ -285,7 +275,7 @@ def suite_ratio(max3: int = 200, max45: int = 120) -> VerificationReport:
         def cases():
             for n in range(1, bound + 1):
                 value = ratio(2, n)
-                expected_equal = n % 2 == 0
+                expected_equal = parity_indicator(n) == 1
                 yield (f"ratio(2,{n}) = {value}",
                        value <= 2 and (value == 2) == expected_equal)
         yield run_check("ratio2-even-equality", f"n<={bound}", cases())
@@ -381,42 +371,33 @@ def suite_oracle(max_cells: int = 12, conj_cells: int = 20, ident_n: int = 10,
 
 # --- dispatch -----------------------------------------------------------------------
 
+_SUITES = {"alpha": suite_alpha, "gamma3": suite_gamma3, "gammaS": suite_gammas,
+           "tau": suite_tau, "ratio": suite_ratio, "oracle": suite_oracle}
+SUITE_NAMES = (*_SUITES, "all")
+
+# Under `max_cells = m` every range becomes m, except these: min(default, m // divisor).
+# The divisor 2 is there because the Catalan diagonal puts 2k cells at k.
+_CAPPED_RANGES = {"catalan_n": 2, "r3_cross_n": 1, "conj_cells": 1, "ident_n": 1}
+
+
 def run_suite(name: str, max_cells: int | None = None,
               oracle_cap: int | None = None) -> VerificationReport:
     """Run one named suite (or "all"), clipping ranges to `max_cells` when given."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    m = max_cells
-    cap = oracle_cap if oracle_cap is not None else DEFAULT_ENUMERATION_CAP
+    if oracle_cap is not None and oracle_cap < 0:
+        raise ValueError("oracle_cap must be >= 0")
 
     def build(suite: str) -> VerificationReport:
-        if suite == "alpha":
-            return suite_alpha(max_n=m if m is not None else 40,
-                               catalan_n=min(30, m // 2) if m is not None else 30)
-        if suite == "gamma3":
-            return suite_gamma3(max_n=m if m is not None else 40,
-                                r3_cross_n=min(30, m) if m is not None else 30)
-        if suite == "gammaS":
-            return suite_gammas(max_n=m if m is not None else 25)
-        if suite == "tau":
-            return suite_tau(max2=m if m is not None else 60,
-                             max3=m if m is not None else 40,
-                             max45=m if m is not None else 25)
-        if suite == "ratio":
-            return suite_ratio(max3=m if m is not None else 200,
-                               max45=m if m is not None else 120)
-        if suite == "oracle":
-            return suite_oracle(max_cells=m if m is not None else 12,
-                                conj_cells=min(20, m) if m is not None else 20,
-                                ident_n=min(10, m) if m is not None else 10,
-                                cap=cap)
-        raise AssertionError(suite)
+        params = inspect.signature(_SUITES[suite]).parameters
+        ranges = {} if max_cells is None else {
+            param: min(spec.default, max_cells // _CAPPED_RANGES[param])
+            if param in _CAPPED_RANGES else max_cells
+            for param, spec in params.items() if param != "cap"}
+        if "cap" in params and oracle_cap is not None:
+            ranges["cap"] = oracle_cap
+        return _SUITES[suite](**ranges)
 
     if name != "all":
         return build(name)
-    start = time.perf_counter()
-    merged: list[CheckResult] = []
-    for suite in ("alpha", "gamma3", "gammaS", "tau", "ratio", "oracle"):
-        merged.extend(build(suite).checks)
-    return VerificationReport(suite="all", checks=merged,
-                              elapsed=time.perf_counter() - start)
+    return _timed("all", [lambda suite=suite: build(suite).checks for suite in _SUITES])

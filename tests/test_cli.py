@@ -1,8 +1,11 @@
 import json
 import re
 
+import pytest
+
 from sytcount.cli import run
 from sytcount.report import CheckResult, VerificationReport
+from sytcount.verify import run_suite
 
 
 def invoke(capsys, *argv):
@@ -192,6 +195,15 @@ def test_out_file(tmp_path, capsys):
     assert status == 0
     assert out == ""
     assert target.read_text() == "n,i,value\n0,0,1\n1,0,1\n2,0,1\n2,1,1\n"
+
+
+def test_verify_rejects_negative_oracle_cap(capsys):
+    status, out, err = invoke(capsys, "verify", "--suite", "oracle", "--oracle-cap", "-1")
+    assert status == 2
+    assert out == ""
+    assert "--oracle-cap must be >= 0" in err
+    with pytest.raises(ValueError):
+        run_suite("oracle", max_cells=4, oracle_cap=-1)
 
 
 def test_usage_errors(capsys):

@@ -87,6 +87,13 @@ def test_tau_growth_agrees_with_definition():
         tau_growth(3, -1)
 
 
+def test_cleared_growth_memo_rebuilds_from_the_empty_shape():
+    tau_growth(4, len(TAU4_PREFIX) + 5)
+    seq._growth_states[4].clear()
+    assert tau_growth(4, len(TAU4_PREFIX) - 1) == TAU4_PREFIX[-1]
+    assert [tau_growth(4, n) for n in range(len(TAU4_PREFIX))] == TAU4_PREFIX
+
+
 def test_recurrence_step_desk_values():
     step = tau_recurrence_step(3, 4)
     assert (step.main, step.parity_term, step.gamma0_term,

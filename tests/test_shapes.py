@@ -17,6 +17,13 @@ def test_columns_must_be_weakly_decreasing_and_positive():
         ColumnShape((-1,))
 
 
+def test_columns_must_be_plain_integers():
+    with pytest.raises(ValueError):
+        ColumnShape((True, True))
+    with pytest.raises(ValueError):
+        ColumnShape((2.0, 1))
+
+
 def test_cells_width_and_empty_shape():
     shape = ColumnShape((4, 2, 1))
     assert shape.cells == 7
