@@ -3,9 +3,9 @@
 Counts are arbitrary-precision integers and ratios are exact rationals
 throughout; no floating point enters any counting path. The same quantities
 are computed along independent routes (hook length formula, corner-removal
-recursion, explicit enumeration, three-term recurrences, corner-growth
-sweeps) and the verification suites cross-check the routes against each
-other and against independently generated reference sequences.
+recursion, enumeration, recurrences, corner-growth sweeps, Bessel determinants)
+and the verification suites cross-check the routes against each other and
+against independently generated reference sequences.
 """
 
 from .counting import (DEFAULT_ENUMERATION_CAP, HookDivisionError,
@@ -19,7 +19,7 @@ from .sequences import (RatioParts, RatioRow, RecurrenceMismatchError,
                         TauRecurrenceTerms, approx_decimal, catalan,
                         central_binomial, involutions, motzkin, ratio,
                         ratio_decomposition, ratio_table, tau, tau_growth,
-                        tau_recurrence_step)
+                        tau_recurrence_step, tau_series)
 from .shapes import (ColumnShape, ShapeFamilyQuery, conjugate,
                      enumerate_family, partitions_at_most, r3_shape)
 from .verify import run_suite
@@ -35,7 +35,7 @@ __all__ = [
     "correction_r3", "GammaTable", "CorrectionTerm", "build_table",
     "compare_methods", "NegativeEntryError",
     "catalan", "motzkin", "central_binomial", "involutions", "tau",
-    "tau_growth", "tau_recurrence_step", "TauRecurrenceTerms",
+    "tau_growth", "tau_series", "tau_recurrence_step", "TauRecurrenceTerms",
     "RecurrenceMismatchError", "ratio", "ratio_decomposition", "ratio_table",
     "RatioParts", "RatioRow", "approx_decimal",
     "CheckResult", "VerificationReport", "run_suite",

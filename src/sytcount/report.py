@@ -79,12 +79,15 @@ def _csv_quote(text: str) -> str:
 
 def run_check(name: str, scope: str, cases) -> CheckResult:
     """Collapse an iterable of (description, ok) pairs into one CheckResult,
-    keeping the first failing description as the counterexample."""
+    keeping the first failing description as the counterexample. A check
+    with no cases says so in its scope."""
     checked = 0
     counterexample = None
     for description, ok in cases:
         checked += 1
         if not ok and counterexample is None:
             counterexample = description
+    if not checked:
+        scope = f"skipped: no cases in {scope}"
     return CheckResult(name=name, scope=scope, passed=counterexample is None,
                        checked=checked, counterexample=counterexample)

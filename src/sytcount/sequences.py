@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from math import comb
+from operator import add, mul
 from typing import NamedTuple
 
 from ._memo import Memo
@@ -71,14 +73,10 @@ def motzkin(n: int) -> int:
 
 
 def central_binomial(n: int) -> int:
-    """Middle binomial coefficient C(n, n // 2), by an exact running product."""
+    """Middle binomial coefficient C(n, n // 2)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    k = n // 2
-    value = 1
-    for idx in range(1, k + 1):
-        value = value * (n - k + idx) // idx  # exact: always a binomial
-    return value
+    return comb(n, n // 2)
 
 
 _involutions = Memo([1, 1], lambda terms: terms[-1] + (len(terms) - 1) * terms[-2])
@@ -90,6 +88,13 @@ def involutions(n: int) -> int:
 
 
 # --- totals -------------------------------------------------------------------
+
+def _check_totals_args(s: int, n: int) -> None:
+    if s < 2:
+        raise ValueError("width bound must be at least 2")
+    if n < 0:
+        raise ValueError("cell count must be >= 0")
+
 
 def _growth_totals(s: int) -> Memo:
     frontier: dict[tuple[int, ...], int] = {}
@@ -120,15 +125,84 @@ def tau_growth(s: int, n: int) -> int:
     """Total tableau count by a level-by-level corner-growth sweep.
 
     Carries the full shape -> count map from one cell count to the next, so
-    consecutive totals for one s cost a single dictionary pass each. This is
-    the fast path behind the ratio tables; its agreement with the definitional
-    route is part of the verification suites.
+    consecutive totals for one s cost a single dictionary pass each. The
+    verification suites check it against the definitional and series routes.
     """
-    if s < 2:
-        raise ValueError("width bound must be at least 2")
-    if n < 0:
-        raise ValueError("cell count must be >= 0")
+    _check_totals_args(s, n)
     return _growth_states[s][n]
+
+
+# --- totals by Gessel's Bessel determinant --------------------------------------
+# A series is its list of exponential generating function coefficients up to one
+# degree, so the product is the binomial convolution and stays integral.
+
+def _determinant_totals(s: int, degree: int) -> list[int]:
+    """tau_s(0..degree) from Gessel's determinant, 1 <= i, j <= m = s // 2:
+    det[I_{i-j} + I_{i+j-1}] for s = 2m, e^x det[I_{i-j} - I_{i+j}] for s = 2m+1,
+    where I_v(2x) has coefficient C(n, (n-|v|)/2) when n >= |v| and n = v mod 2.
+    It counts at most s rows, hence by conjugation at most s columns."""
+    binomials = [[1]]
+    for _ in range(degree):
+        binomials.append([1, *map(add, binomials[-1], binomials[-1][1:]), 1])
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        return [sum(map(mul, map(mul, row, a), b[n::-1]))
+                for n, row in enumerate(binomials)]
+
+    def divide(c: list[int], a: list[int]) -> list[int]:
+        q = []  # a * q = c: q_n = c_n - sum_{k>=1} C(n,k) a_k q_{n-k}, exact as a_0 = 1
+        for n, row in enumerate(binomials):
+            q.append(c[n] - sum(map(mul, map(mul, row[1:], a[1:]), q[::-1])))
+        return q
+
+    def bessel(v: int) -> list[int]:
+        return [comb(n, (n - v) // 2) if n >= v and (n - v) % 2 == 0 else 0
+                for n in range(degree + 1)]
+
+    m, odd = divmod(s, 2)
+    matrix = [[[x - y if odd else x + y
+                for x, y in zip(bessel(abs(i - j)), bessel(i + j - 1 + odd))]
+               for j in range(1, m + 1)] for i in range(1, m + 1)]
+    total = [1] * (degree + 1) if odd else [1] + [0] * degree  # e^x or 1
+    for k, row in enumerate(matrix):
+        pivot = row[k]
+        if pivot[0] != 1:
+            raise ArithmeticError(f"width-{s} pivot {k} has constant term {pivot[0]}")
+        total = times(total, pivot)
+        for lower in matrix[k + 1:]:
+            factor = divide(lower[k], pivot)
+            for c in range(k + 1, m):
+                lower[c] = [x - y for x, y in zip(lower[c], times(factor, row[c]))]
+    return total
+
+
+def _series_totals(s: int) -> Memo:
+    batch = [1]
+
+    def step(totals: list[int]) -> int:
+        # Terms come in order, so a rebuild at n doubles the degree n - 1 built so
+        # far: O(log n) rebuilds per width. A first step (also after clear()) rebuilds.
+        nonlocal batch
+        n = len(totals)
+        if n == 1 or n >= len(batch):
+            batch = _determinant_totals(s, max(n, 2 * n - 2))
+        return batch[n]
+
+    return Memo([1], step)
+
+
+# One series totals memo per width, held as the terms of a memo indexed by s.
+_series_states = Memo([], lambda widths: _series_totals(len(widths)))
+
+
+def tau_series(s: int, n: int) -> int:
+    """Total tableau count from Gessel's Bessel determinant, in exact integers.
+
+    No shape is enumerated. The ratios use this route; the growth sweep is its
+    cross-check in the `ratio` suite.
+    """
+    _check_totals_args(s, n)
+    return _series_states[s][n]
 
 
 @cache
@@ -173,10 +247,7 @@ def tau(s: int, n: int, method: str = "definition") -> int:
             "recurrence" (seeded rows plus the totals recurrence), or
             "closed" (central binomial for s=2, Motzkin for s=3).
     """
-    if s < 2:
-        raise ValueError("width bound must be at least 2")
-    if n < 0:
-        raise ValueError("cell count must be >= 0")
+    _check_totals_args(s, n)
     if method == "definition":
         return _tau_definition(s, n)
     if method == "recurrence":
@@ -272,7 +343,7 @@ def ratio(s: int, n: int) -> Fraction:
     """Exact consecutive-totals ratio tau_s(n) / tau_s(n-1)."""
     if n < 1:
         raise ValueError("ratio needs n >= 1")
-    return Fraction(tau_growth(s, n), tau_growth(s, n - 1))
+    return Fraction(tau_series(s, n), tau_series(s, n - 1))
 
 
 class RatioParts(NamedTuple):
@@ -292,7 +363,7 @@ def ratio_decomposition(n: int) -> RatioParts:
     shares; the three parts sum to the deficit exactly."""
     if n < 3:
         raise ValueError("the decomposition needs n >= 3")
-    denominator = tau_growth(3, n - 1)
+    denominator = tau_series(3, n - 1)
     return RatioParts(
         parity=Fraction(_parity_term(n - 1), denominator),
         gamma0=Fraction(gamma_def(3, n - 1, 0), denominator),
@@ -310,7 +381,6 @@ def ratio_table(s: int, max_n: int, digits: int = 12) -> list[RatioRow]:
     """Exact ratios for n = 1..max_n, each with a presentation decimal."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    tau_growth(s, max_n)  # one sweep warms every total the loop needs
     rows = []
     for n in range(1, max_n + 1):
         value = ratio(s, n)

@@ -16,7 +16,7 @@ from .gamma import (NegativeEntryError, _recurrence_entry, _two_column_def, alph
 from .report import CheckResult, VerificationReport, run_check
 from .sequences import (RecurrenceMismatchError, catalan, central_binomial,
                         involutions, motzkin, parity_indicator, ratio, ratio_decomposition,
-                        tau, tau_growth, tau_recurrence_step)
+                        tau, tau_growth, tau_recurrence_step, tau_series)
 from .shapes import ColumnShape, conjugate, partitions_at_most
 
 
@@ -234,10 +234,16 @@ def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> VerificationRe
 
 # --- ratios ------------------------------------------------------------------------
 
-def suite_ratio(max3: int = 200, max45: int = 120) -> VerificationReport:
-    """Exact bound, approach, and decomposition properties of the growth
-    ratios tau_s(n) / tau_s(n-1)."""
+def suite_ratio(max3: int = 200, max45: int = 120, cross_n: int = 40) -> VerificationReport:
+    """Series totals agree with the growth sweep, and the exact ratios
+    tau_s(n) / tau_s(n-1) keep their bound, approach, and decomposition properties."""
     ranges = {3: max3, 4: max45, 5: max45}
+
+    def series_vs_growth():
+        cases = ((f"series total != growth total at s={s}, n={n}",
+                  tau_series(s, n) == tau_growth(s, n))
+                 for s in range(2, 8) for n in range(cross_n + 1))
+        yield run_check("ratio-totals-series-vs-growth", f"2<=s<=7, n<={cross_n}", cases)
 
     def strict_bound():
         def cases():
@@ -310,8 +316,8 @@ def suite_ratio(max3: int = 200, max45: int = 120) -> VerificationReport:
         yield run_check("ratio3-decomposition-shrink", f"n={lo} vs n={hi}",
                         shrink_cases())
 
-    return _timed("ratio", [strict_bound, limit_proximity, deficit_monotone,
-                            even_equality, decomposition])
+    return _timed("ratio", [series_vs_growth, strict_bound, limit_proximity,
+                            deficit_monotone, even_equality, decomposition])
 
 
 # --- brute-force oracles --------------------------------------------------------------
@@ -377,7 +383,8 @@ SUITE_NAMES = (*_SUITES, "all")
 
 # Under `max_cells = m` every range becomes m, except these: min(default, m // divisor).
 # The divisor 2 is there because the Catalan diagonal puts 2k cells at k.
-_CAPPED_RANGES = {"catalan_n": 2, "r3_cross_n": 1, "conj_cells": 1, "ident_n": 1}
+_CAPPED_RANGES = {"catalan_n": 2, "r3_cross_n": 1, "cross_n": 1, "conj_cells": 1,
+                  "ident_n": 1}
 
 
 def run_suite(name: str, max_cells: int | None = None,

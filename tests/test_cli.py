@@ -210,3 +210,17 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys)[0] == 2
     assert invoke(capsys, "verify", "--suite", "nonsense")[0] == 2
+
+
+def test_checks_without_cases_say_they_were_skipped():
+    report = run_suite("all", max_cells=2)
+    assert [c.name for c in report.checks
+            if c.checked == 0 and "skipped" not in c.scope] == []
+    monotone = {c.name: c for c in report.checks}["ratio-deficit-monotone"]
+    assert monotone.scope.startswith("skipped: no cases in ")
+
+
+def test_ratio_suite_cross_checks_series_against_growth():
+    checks = {c.name: c for c in run_suite("ratio", max_cells=10).checks}
+    cross = checks["ratio-totals-series-vs-growth"]
+    assert (cross.scope, cross.passed, cross.checked) == ("2<=s<=7, n<=10", True, 6 * 11)

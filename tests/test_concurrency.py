@@ -2,11 +2,12 @@
 
 import sys
 import threading
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 from sytcount import gamma, sequences
 from sytcount.gamma import gamma_def, gamma_rec
-from sytcount.sequences import tau, tau_growth
+from sytcount.sequences import tau, tau_growth, tau_series
 
 THREADS = 4
 JOIN_TIMEOUT_S = 120
@@ -14,6 +15,7 @@ CALLS = {
     "tau_growth(4, 50)": lambda: tau_growth(4, 50),
     "tau(4, 30, 'recurrence')": lambda: tau(4, 30, "recurrence"),
     "gamma_rec(4, 40, 5)": lambda: gamma_rec(4, 40, 5),
+    "tau_series(5, 60)": lambda: tau_series(5, 60),
 }
 
 
@@ -26,10 +28,18 @@ def _at_most_four_columns(n):
     return _catalan((n + 1) // 2) * _catalan((n + 2) // 2)
 
 
+def _at_most_five_columns(n):
+    """Gouyou-Beauchamps: 6 * sum_k C(n,2k) C_k (2k+2)! / ((k+2)! (k+3)!)."""
+    return sum(Fraction(6 * comb(n, 2 * k) * _catalan(k) * factorial(2 * k + 2),
+                        factorial(k + 2) * factorial(k + 3))
+               for k in range(n // 2 + 1))
+
+
 def _clear_memos():
     for memo in (sequences._catalans, sequences._motzkins, sequences._involutions,
                  sequences._tau2_chain, sequences._growth_states,
-                 sequences._steps_checked, gamma._alpha_rows, gamma._rec_rows):
+                 sequences._series_states, sequences._steps_checked,
+                 gamma._alpha_rows, gamma._rec_rows):
         memo.clear()
 
 
@@ -58,7 +68,7 @@ def test_memos_extend_correctly_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     expected = dict(zip(CALLS, (_at_most_four_columns(50), _at_most_four_columns(30),
-                                gamma_def(4, 40, 5))))
+                                gamma_def(4, 40, 5), _at_most_five_columns(60))))
     assert results == [expected] * THREADS
     # the memos were left consistent, not poisoned
     assert {name: call() for name, call in CALLS.items()} == expected

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -9,7 +9,7 @@ from sytcount.sequences import (RatioParts, RecurrenceMismatchError,
                                 correction_aggregate, involutions, motzkin,
                                 parity_indicator, ratio, ratio_decomposition,
                                 ratio_table, tau, tau_growth,
-                                tau_recurrence_step)
+                                tau_recurrence_step, tau_series)
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 MOTZKIN_PREFIX = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
@@ -92,6 +92,73 @@ def test_cleared_growth_memo_rebuilds_from_the_empty_shape():
     seq._growth_states[4].clear()
     assert tau_growth(4, len(TAU4_PREFIX) - 1) == TAU4_PREFIX[-1]
     assert [tau_growth(4, n) for n in range(len(TAU4_PREFIX))] == TAU4_PREFIX
+
+
+def _catalan(k):
+    return comb(2 * k, k) // (k + 1)
+
+
+def test_tau_series_matches_closed_forms():
+    for n in range(201):
+        assert tau_series(2, n) == comb(n, n // 2)
+        assert tau_series(3, n) == sum(comb(n, 2 * k) * _catalan(k)
+                                       for k in range(n // 2 + 1))
+        # Gouyou-Beauchamps, height 4
+        assert tau_series(4, n) == _catalan((n + 1) // 2) * _catalan((n + 2) // 2)
+    for n in range(121):
+        # Gouyou-Beauchamps, height 5
+        assert tau_series(5, n) == sum(
+            Fraction(6 * comb(n, 2 * k) * _catalan(k) * factorial(2 * k + 2),
+                     factorial(k + 2) * factorial(k + 3))
+            for k in range(n // 2 + 1))
+
+
+def test_tau_series_matches_the_other_routes():
+    for s in (6, 7):
+        for n in range(41):
+            assert tau_series(s, n) == tau_growth(s, n)
+    for s in (8, 9, 10):
+        for n in range(21):
+            assert tau_series(s, n) == tau(s, n, "definition")
+
+
+def test_tau_series_counts_involutions_up_to_the_width():
+    counts = [1, 1]
+    for n in range(2, 11):
+        counts.append(counts[-1] + (n - 1) * counts[-2])
+    for s in range(2, 11):
+        for n in range(s + 1):
+            assert tau_series(s, n) == counts[n]
+
+
+def test_tau_series_rejects_bad_arguments():
+    for call in (tau_series, tau_growth):
+        with pytest.raises(ValueError, match="width bound must be at least 2"):
+            call(1, 5)
+        with pytest.raises(ValueError, match="cell count must be >= 0"):
+            call(3, -1)
+
+
+def test_cleared_series_memo_rebuilds_from_degree_one(monkeypatch):
+    tau_series(5, len(TAU5_PREFIX) + 60)
+    degrees = []
+    build = seq._determinant_totals
+
+    def recording(s, degree):
+        degrees.append(degree)
+        return build(s, degree)
+
+    monkeypatch.setattr(seq, "_determinant_totals", recording)
+    seq._series_states[5].clear()
+    assert tau_series(5, len(TAU5_PREFIX) - 1) == TAU5_PREFIX[-1]
+    assert [tau_series(5, n) for n in range(len(TAU5_PREFIX))] == TAU5_PREFIX
+    assert degrees == [1, 2, 4, 8, 16]
+
+
+def test_series_pivot_without_unit_constant_term_raises(monkeypatch):
+    monkeypatch.setattr(seq, "comb", lambda n, k: 2 * comb(n, k))
+    with pytest.raises(ArithmeticError, match="pivot 0 has constant term 2"):
+        seq._determinant_totals(4, 5)
 
 
 def test_recurrence_step_desk_values():
