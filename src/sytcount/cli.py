@@ -15,14 +15,12 @@ import sys
 from typing import Sequence
 
 from .counting import DEFAULT_ENUMERATION_CAP, syt_count_hlf, syt_enumerate
-from .gamma import DEFINITIONAL, RECURRENCE, build_table, gamma_def, gamma_rec
-from .sequences import ratio_decomposition, ratio_table, tau
+from .gamma import TABLE_METHODS, build_table, gamma_def, gamma_rec
+from .sequences import CLOSED_FORMS, TAU_METHODS, ratio_decomposition, ratio_table, tau
 from .shapes import ColumnShape
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
-
-_TABLE_METHODS = {"definition": DEFINITIONAL, "recurrence": RECURRENCE}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.add_argument("--columns", type=int, required=True, metavar="S")
     p_tau.add_argument("--cells", type=int, metavar="N")
     p_tau.add_argument("--max-cells", type=int, metavar="N")
-    p_tau.add_argument("--method", choices=("definition", "recurrence", "closed"),
-                       default="definition")
+    p_tau.add_argument("--method", choices=TAU_METHODS, default="definition")
     p_tau.add_argument("--format", choices=("csv", "json"), default="csv")
     p_tau.add_argument("--out", metavar="FILE")
     p_tau.set_defaults(handler=_cmd_tau)
@@ -46,16 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma.add_argument("--columns", type=int, required=True, metavar="S")
     p_gamma.add_argument("--cells", type=int, required=True, metavar="N")
     p_gamma.add_argument("--diff", type=int, required=True, metavar="I")
-    p_gamma.add_argument("--method", choices=("definition", "recurrence"),
-                         default="definition")
+    p_gamma.add_argument("--method", choices=tuple(TABLE_METHODS), default="definition")
     p_gamma.add_argument("--out", metavar="FILE")
     p_gamma.set_defaults(handler=_cmd_gamma)
 
     p_table = sub.add_parser("table", help="full triangular table up to a cell count")
     p_table.add_argument("--columns", type=int, required=True, metavar="S")
     p_table.add_argument("--max-cells", type=int, required=True, metavar="N")
-    p_table.add_argument("--method", choices=("definition", "recurrence"),
-                         default="definition")
+    p_table.add_argument("--method", choices=tuple(TABLE_METHODS), default="definition")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", metavar="FILE")
     p_table.set_defaults(handler=_cmd_table)
@@ -106,8 +101,9 @@ def _parse_shape(parser: argparse.ArgumentParser, text: str) -> ColumnShape:
 def _cmd_tau(args, parser) -> tuple[str, int]:
     if (args.cells is None) == (args.max_cells is None):
         parser.error("tau needs exactly one of --cells or --max-cells")
-    if args.method == "closed" and args.columns not in (2, 3):
-        parser.error("--method closed is only available for --columns 2 or 3")
+    if args.method == "closed" and args.columns not in CLOSED_FORMS:
+        widths = " or ".join(map(str, CLOSED_FORMS))
+        parser.error(f"--method closed is only available for --columns {widths}")
     if args.columns < 2:
         parser.error("--columns must be at least 2")
     if args.cells is not None:
@@ -140,7 +136,7 @@ def _cmd_table(args, parser) -> tuple[str, int]:
         parser.error("--columns must be at least 2")
     if args.max_cells < 0:
         parser.error("--max-cells must be >= 0")
-    table = build_table(args.columns, args.max_cells, _TABLE_METHODS[args.method])
+    table = build_table(args.columns, args.max_cells, TABLE_METHODS[args.method])
     if args.format == "json":
         return json.dumps(table.to_json_obj(), indent=2), 0
     return table.to_csv_text(), 0

@@ -22,6 +22,8 @@ from .shapes import ColumnShape, ShapeFamilyQuery, enumerate_family, r3_shape
 
 DEFINITIONAL = "definitional"
 RECURRENCE = "recurrence"
+# The method names callers pass, mapped to the route names a table records.
+TABLE_METHODS = {"definition": DEFINITIONAL, "recurrence": RECURRENCE}
 
 
 class NegativeEntryError(ArithmeticError):
@@ -158,7 +160,7 @@ def _recurrence_memo(s: int) -> Memo:
     def step(rows: list[list[int]]) -> list[int]:
         n = len(rows)
         if n <= seed_rows(s):
-            return [gamma_def(s, n, i) for i in range(n // 2 + 1)]
+            return _table_row(s, n, DEFINITIONAL)
         return [_recurrence_entry(s, n, i, rows[n - 1]) for i in range(n // 2 + 1)]
 
     return Memo([], step)
@@ -224,25 +226,28 @@ def _two_column_def(n: int, i: int) -> int:
     return syt_count_hlf(ColumnShape(cols))
 
 
-def build_table(s: int, max_n: int, method: str = DEFINITIONAL) -> GammaTable:
-    """Materialize the width-s table for rows 0..max_n by the chosen route.
+def _table_row(s: int, n: int, method: str) -> list[int]:
+    """Row n of the width-s table, s >= 2, built by `method`.
 
     Width 2 is the two-column triangle: hook counts of the shapes (n-i, i)
-    definitionally, the two-term recurrence otherwise.
+    definitionally, the two-term recurrence otherwise. The list is a copy.
     """
+    if method == DEFINITIONAL:
+        entry = _two_column_def if s == 2 else lambda n, i: gamma_def(s, n, i)
+        return [entry(n, i) for i in range(n // 2 + 1)]
+    if method == RECURRENCE:
+        return list((_alpha_rows if s == 2 else _rec_rows[s])[n])
+    raise ValueError(f"unknown method {method!r}")
+
+
+def build_table(s: int, max_n: int, method: str = DEFINITIONAL) -> GammaTable:
+    """Materialize the width-s table for rows 0..max_n by the chosen route."""
     if s < 2:
         raise ValueError("width bound must be at least 2")
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if method == DEFINITIONAL:
-        entry = _two_column_def if s == 2 else lambda n, i: gamma_def(s, n, i)
-        rows = [[entry(n, i) for i in range(n // 2 + 1)] for n in range(max_n + 1)]
-    elif method == RECURRENCE:
-        rec_rows = _alpha_rows if s == 2 else _rec_rows[s]
-        rows = [list(rec_rows[n]) for n in range(max_n + 1)]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return GammaTable(s=s, method=method, rows=rows)
+    return GammaTable(s=s, method=method,
+                      rows=[_table_row(s, n, method) for n in range(max_n + 1)])
 
 
 def compare_methods(s: int, max_n: int) -> VerificationReport:

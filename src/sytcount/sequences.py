@@ -18,7 +18,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from ._memo import Memo
-from .gamma import alpha, gamma_def, gamma_rec, row_correction_terms
+from .gamma import (DEFINITIONAL, RECURRENCE, TABLE_METHODS, _table_row, gamma_def,
+                    row_correction_terms)
 
 TAU_METHODS = ("definition", "recurrence", "closed")
 
@@ -207,21 +208,13 @@ def tau_series(s: int, n: int) -> int:
 
 @cache
 def _tau_definition(s: int, n: int) -> int:
-    if s == 2:
-        return sum(alpha(n, i) for i in range(n // 2 + 1))
-    return sum(gamma_def(s, n, i) for i in range(n // 2 + 1))
-
-
-def _rec_row_sum(s: int, n: int) -> int:
-    return sum(gamma_rec(s, n, i) for i in range(n // 2 + 1))
-
-
-_tau2_chain = Memo([1], lambda terms: 2 * terms[-1] - _parity_term(len(terms) - 1))
+    return sum(_table_row(s, n, DEFINITIONAL))
 
 
 def _checked_steps(s: int) -> Memo:
-    """Steps s, s+1, ... of the width-s totals recurrence, each verified once."""
-    return Memo([None] * s,
+    """The width-s totals recurrence from its first step on (n = 1 for s = 2,
+    n = s otherwise), each step verified once."""
+    return Memo([None] * (1 if s == 2 else s),
                 lambda steps: tau_recurrence_step(s, len(steps), method="recurrence"))
 
 
@@ -229,12 +222,14 @@ _steps_checked = Memo([], lambda widths: _checked_steps(len(widths)))
 
 
 def _tau_recurrence(s: int, n: int) -> int:
-    if s == 2:
-        return _tau2_chain[n]
     # Walk the step identity once per new row so every recurrence total is
     # certified against the row sums it aggregates.
     _steps_checked[s][n]
-    return _rec_row_sum(s, n)
+    return sum(_table_row(s, n, RECURRENCE))
+
+
+# The widths with a closed-form total, and the reference sequence giving it.
+CLOSED_FORMS = {2: central_binomial, 3: motzkin}
 
 
 def tau(s: int, n: int, method: str = "definition") -> int:
@@ -243,8 +238,10 @@ def tau(s: int, n: int, method: str = "definition") -> int:
     Args:
         s: width bound, at least 2.
         n: cell count, at least 0.
-        method: "definition" (row sum of the definitional table),
-            "recurrence" (seeded rows plus the totals recurrence), or
+        method: "definition" (row sum of the definitional table: hook counts
+            of the two-column shapes for s=2, family hook sums otherwise),
+            "recurrence" (row sum of the recurrence table, once the totals
+            recurrence has been verified on every step up to n), or
             "closed" (central binomial for s=2, Motzkin for s=3).
     """
     _check_totals_args(s, n)
@@ -253,11 +250,9 @@ def tau(s: int, n: int, method: str = "definition") -> int:
     if method == "recurrence":
         return _tau_recurrence(s, n)
     if method == "closed":
-        if s == 2:
-            return central_binomial(n)
-        if s == 3:
-            return motzkin(n)
-        raise ValueError(f"no closed form is available for s={s}")
+        if s not in CLOSED_FORMS:
+            raise ValueError(f"no closed form is available for s={s}")
+        return CLOSED_FORMS[s](n)
     raise ValueError(f"unknown method {method!r}; expected one of {TAU_METHODS}")
 
 
@@ -292,9 +287,10 @@ def correction_aggregate(s: int, n: int) -> int:
 def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurrenceTerms:
     """Compute one step of the totals recurrence and verify it exactly.
 
-    The four terms are assembled from `method` values ("definition" or
-    "recurrence") and checked against tau_s(n) computed the same way; a
-    mismatch raises RecurrenceMismatchError carrying the full breakdown.
+    Rows n-1 and n come from the table that `method` names ("definition" or
+    "recurrence", as in TABLE_METHODS). The four terms are assembled from row
+    n-1 and checked against the sum of row n; a mismatch raises
+    RecurrenceMismatchError carrying the full breakdown.
     """
     if s < 2:
         raise ValueError("width bound must be at least 2")
@@ -302,22 +298,15 @@ def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurr
         raise ValueError("the two-column step needs n >= 1")
     if s >= 3 and n < s:
         raise ValueError(f"the width-{s} step needs n >= {s}")
-    if method == "definition":
-        total_prev, total_here = _tau_definition(s, n - 1), _tau_definition(s, n)
-        gamma0 = 0 if s == 2 else gamma_def(s, n - 1, 0)
-    elif method == "recurrence":
-        if s == 2:
-            total_prev, total_here = _tau2_chain[n - 1], _tau2_chain[n]
-        else:
-            total_prev, total_here = _rec_row_sum(s, n - 1), _rec_row_sum(s, n)
-        gamma0 = 0 if s == 2 else gamma_rec(s, n - 1, 0)
-    else:
+    if method not in TABLE_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    prev, here = (_table_row(s, k, TABLE_METHODS[method]) for k in (n - 1, n))
+    total_here = sum(here)
     terms = TauRecurrenceTerms(
         s=s, n=n,
-        main=s * total_prev,
+        main=s * sum(prev),
         parity_term=_parity_term(n - 1),
-        gamma0_term=gamma0,
+        gamma0_term=0 if s == 2 else prev[0],
         correction_total=correction_aggregate(s, n),
     )
     if terms.value != total_here:

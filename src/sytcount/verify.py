@@ -11,8 +11,9 @@ from math import factorial
 
 from .counting import (DEFAULT_ENUMERATION_CAP, syt_count_hlf,
                        syt_count_recursive, syt_enumerate)
-from .gamma import (NegativeEntryError, _recurrence_entry, _two_column_def, alpha,
-                    ballot_entry, compare_methods, correction_r, correction_r3, gamma_def)
+from .gamma import (DEFINITIONAL, NegativeEntryError, _recurrence_entry, _table_row,
+                    _two_column_def, alpha, ballot_entry, compare_methods, correction_r,
+                    correction_r3, gamma_def)
 from .report import CheckResult, VerificationReport, run_check
 from .sequences import (RecurrenceMismatchError, catalan, central_binomial,
                         involutions, motzkin, parity_indicator, ratio, ratio_decomposition,
@@ -89,7 +90,7 @@ def _recurrence_identity_check(s: int, max_n: int) -> CheckResult:
     recurrence itself is what gets tested."""
     def cases():
         for n in range(1, max_n + 1):
-            prev_row = [gamma_def(s, n - 1, i) for i in range((n - 1) // 2 + 1)]
+            prev_row = _table_row(s, n - 1, DEFINITIONAL)
             for i in range(n // 2 + 1):
                 try:
                     ok = _recurrence_entry(s, n, i, prev_row) == gamma_def(s, n, i)

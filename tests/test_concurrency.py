@@ -1,11 +1,14 @@
 """Threads sharing the sequence memos get the same exact values as one thread."""
 
+import importlib
+import pkgutil
 import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
 
-from sytcount import gamma, sequences
+import sytcount
+from sytcount._memo import Memo
 from sytcount.gamma import gamma_def, gamma_rec
 from sytcount.sequences import tau, tau_growth, tau_series
 
@@ -35,11 +38,18 @@ def _at_most_five_columns(n):
                for k in range(n // 2 + 1))
 
 
+def _module_memos():
+    """Every Memo held at module level anywhere in the package."""
+    modules = [importlib.import_module(f"sytcount.{info.name}")
+               for info in pkgutil.iter_modules(sytcount.__path__)]
+    return [value for module in modules for value in vars(module).values()
+            if isinstance(value, Memo)]
+
+
 def _clear_memos():
-    for memo in (sequences._catalans, sequences._motzkins, sequences._involutions,
-                 sequences._tau2_chain, sequences._growth_states,
-                 sequences._series_states, sequences._steps_checked,
-                 gamma._alpha_rows, gamma._rec_rows):
+    memos = _module_memos()
+    assert memos, "no Memo found in the package"
+    for memo in memos:
         memo.clear()
 
 

@@ -3,7 +3,9 @@ from math import comb, factorial
 
 import pytest
 
+import sytcount.gamma as gamma
 import sytcount.sequences as seq
+from sytcount._memo import Memo
 from sytcount.sequences import (RatioParts, RecurrenceMismatchError,
                                 approx_decimal, catalan, central_binomial,
                                 correction_aggregate, involutions, motzkin,
@@ -202,6 +204,31 @@ def test_recurrence_step_raises_on_mismatch(monkeypatch):
     monkeypatch.setattr(seq, "catalan", lambda n: 999)
     with pytest.raises(RecurrenceMismatchError):
         tau_recurrence_step(2, 5, method="recurrence")
+
+
+@pytest.fixture
+def wrong_two_column_rows(monkeypatch):
+    """Two-column recurrence rows of the right length holding only 2s. The
+    totals caches are cleared before and after, so no wrong total survives."""
+    def clear():
+        seq._tau_definition.cache_clear()
+        seq._steps_checked.clear()
+
+    clear()
+    monkeypatch.setattr(gamma, "_alpha_rows",
+                        Memo([[1]], lambda rows: [2] * (len(rows) // 2 + 1)))
+    yield
+    clear()
+
+
+def test_two_column_definition_total_is_a_sum_of_hook_counts(wrong_two_column_rows):
+    assert [tau(2, n, "definition") for n in range(31)] == [comb(n, n // 2)
+                                                            for n in range(31)]
+
+
+def test_two_column_recurrence_total_is_certified_by_the_step(wrong_two_column_rows):
+    with pytest.raises(RecurrenceMismatchError):
+        tau(2, 10, "recurrence")
 
 
 def test_correction_aggregate_values():
