@@ -2,8 +2,8 @@
 
 Counts are arbitrary-precision integers and ratios are exact rationals
 throughout; no floating point enters any counting path. The same quantities
-are computed along independent routes (hook length formula, corner-removal
-recursion, enumeration, recurrences, corner-growth sweeps, Bessel determinants)
+are computed along independent routes (Frobenius and cell-by-cell hook formulas,
+corner removal, enumeration, recurrences, corner-growth sweeps, Bessel determinants)
 and the verification suites cross-check the routes against each other and
 against independently generated reference sequences.
 """

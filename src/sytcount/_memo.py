@@ -7,13 +7,17 @@ from typing import Callable
 class Memo:
     """The terms of a sequence whose next term is `step(terms)`.
 
+    With `batch=True` a request for index n past the end calls `step(terms, n)`
+    instead, which returns the next terms, through index n at least.
+
     Extension holds a lock, so each term is built once and in order however
     many threads ask for it; a term already built is read without the lock.
     """
 
-    def __init__(self, seed: list, step: Callable[[list], object]) -> None:
+    def __init__(self, seed: list, step: Callable, batch: bool = False) -> None:
         self._seed_len = len(seed)
         self._step = step
+        self._batch = batch
         self._lock = threading.Lock()
         self._terms = list(seed)
 
@@ -25,7 +29,10 @@ class Memo:
             raise ValueError("n must be >= 0")
         with self._lock:
             while len(terms) <= n:
-                terms.append(self._step(terms))
+                if self._batch:
+                    terms.extend(self._step(terms, n))
+                else:
+                    terms.append(self._step(terms))
         return terms[n]
 
     def clear(self) -> None:

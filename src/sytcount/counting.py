@@ -1,19 +1,21 @@
 """Exact per-shape tableau counting.
 
-Three independent routes compute the same number: the hook length formula
-(the workhorse), a memoized corner-removal recursion, and explicit
-enumeration of the fillings. The two brute-force routes exist to validate
-the hook route and each other; no floating point appears anywhere.
+Four independent routes compute the same number: the Frobenius difference
+product on the column lengths (the workhorse), the cell-by-cell hook product,
+a memoized corner-removal recursion, and explicit enumeration of the
+fillings. The other three exist to validate the first and each other; no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 from typing import Iterator
 
-from .shapes import ColumnShape
+from .shapes import ColumnShape, conjugate
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -55,25 +57,33 @@ class StandardTableau:
 
 @cache
 def _hook_count(cols: tuple[int, ...]) -> int:
-    n = sum(cols)
-    if n == 0:
-        return 1
-    # Hooks are taken on the row-form diagram; its column lengths are `cols`.
-    rows = tuple(sum(1 for c in cols if c > r) for r in range(cols[0]))
-    product = 1
-    for r, row_len in enumerate(rows):
-        for c in range(row_len):
-            product *= (row_len - c) + (cols[c] - r) - 1
-    count, remainder = divmod(factorial(n), product)
+    # Frobenius: n! prod_{i<j} (l_i - l_j) / prod l_i!, with l_i = c_i + k - i.
+    lengths = [c + len(cols) - i for i, c in enumerate(cols, 1)]
+    if any(a <= b for a, b in zip(lengths, lengths[1:])):  # a 0 factor divides exactly
+        raise HookDivisionError(f"column lengths {cols} are not a shape")
+    numerator = factorial(sum(cols)) * prod(a - b for a, b in combinations(lengths, 2))
+    count, remainder = divmod(numerator, prod(map(factorial, lengths)))
     if remainder:
-        raise HookDivisionError(
-            f"hook product {product} does not divide {n}! for columns {cols}")
+        raise HookDivisionError(f"inexact Frobenius quotient for columns {cols}")
     return count
 
 
 def syt_count_hlf(shape: ColumnShape) -> int:
-    """Number of standard fillings of `shape`, by the hook length formula."""
+    """Number of standard fillings of `shape`, by the Frobenius (difference
+    product) form of the hook length formula on the column lengths."""
     return _hook_count(shape.columns)
+
+
+def syt_count_hook_product(shape: ColumnShape) -> int:
+    """Number of standard fillings, by the cell-by-cell hook product (uncached)."""
+    cols, rows = shape.columns, conjugate(shape).columns
+    product = prod(rows[r] - c + cols[c] - r - 1
+                   for r in range(len(rows)) for c in range(rows[r]))
+    count, remainder = divmod(factorial(shape.cells), product)
+    if remainder:
+        raise HookDivisionError(
+            f"hook product {product} does not divide {shape.cells}! for columns {cols}")
+    return count
 
 
 @cache

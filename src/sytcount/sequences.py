@@ -178,18 +178,13 @@ def _determinant_totals(s: int, degree: int) -> list[int]:
 
 
 def _series_totals(s: int) -> Memo:
-    batch = [1]
+    def step(totals: list[int], n: int) -> list[int]:
+        # A request for n builds degree n in one batch, and an ascending sweep
+        # doubles the degree built so far: O(log n) rebuilds per width.
+        built = len(totals)
+        return _determinant_totals(s, max(n, 2 * built - 2))[built:]
 
-    def step(totals: list[int]) -> int:
-        # Terms come in order, so a rebuild at n doubles the degree n - 1 built so
-        # far: O(log n) rebuilds per width. A first step (also after clear()) rebuilds.
-        nonlocal batch
-        n = len(totals)
-        if n == 1 or n >= len(batch):
-            batch = _determinant_totals(s, max(n, 2 * n - 2))
-        return batch[n]
-
-    return Memo([1], step)
+    return Memo([1], step, batch=True)
 
 
 # One series totals memo per width, held as the terms of a memo indexed by s.

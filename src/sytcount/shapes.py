@@ -118,17 +118,26 @@ def _column(cols: tuple[int, ...], j: int) -> int:
     return cols[j - 1] if j <= len(cols) else 0
 
 
+@cache
+def _families(cells: int, width: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """`partitions_at_most(cells, width)` bucketed by c2 - c3 in one pass, each
+    bucket in the same order. Buckets hold the plain column tuples."""
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for cols in partitions_at_most(cells, width):
+        buckets.setdefault(_column(cols, 2) - _column(cols, 3), []).append(cols)
+    return {diff: tuple(bucket) for diff, bucket in buckets.items()}
+
+
 def enumerate_family(query: ShapeFamilyQuery) -> Iterator[ColumnShape]:
     """Yield every shape matching `query` exactly once, in lexicographically
     decreasing column-list order."""
     diff = query.second_third_diff
     pair = query.equal_pair
-    for cols in partitions_at_most(query.cells, query.max_width):
-        if diff is not None and _column(cols, 2) - _column(cols, 3) != diff:
-            continue
-        if pair is not None and _column(cols, pair) != _column(cols, pair + 1):
-            continue
-        yield ColumnShape(cols)
+    family = (partitions_at_most(query.cells, query.max_width) if diff is None
+              else _families(query.cells, query.max_width).get(diff, ()))
+    for cols in family:
+        if pair is None or _column(cols, pair) == _column(cols, pair + 1):
+            yield ColumnShape(cols)
 
 
 def r3_shape(n: int, i: int) -> ColumnShape | None:

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from .counting import (DEFAULT_ENUMERATION_CAP, syt_count_hlf,
+from .counting import (DEFAULT_ENUMERATION_CAP, syt_count_hlf, syt_count_hook_product,
                        syt_count_recursive, syt_enumerate)
 from .gamma import (DEFINITIONAL, NegativeEntryError, _recurrence_entry, _table_row,
                     _two_column_def, alpha, ballot_entry, compare_methods, correction_r,
@@ -325,7 +325,7 @@ def suite_ratio(max3: int = 200, max45: int = 120, cross_n: int = 40) -> Verific
 
 def suite_oracle(max_cells: int = 12, conj_cells: int = 20, ident_n: int = 10,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
-    """The three per-shape counting routes agree, counts are conjugation
+    """The four per-shape counting routes agree, counts are conjugation
     invariant, and the classical square-sum and involution identities hold."""
 
     def triple_agreement():
@@ -336,11 +336,12 @@ def suite_oracle(max_cells: int = 12, conj_cells: int = 20, ident_n: int = 10,
                 for cols in partitions_at_most(n, 6):
                     shape = ColumnShape(cols)
                     hook = syt_count_hlf(shape)
+                    product = syt_count_hook_product(shape)
                     removal = syt_count_recursive(shape)
                     listed = sum(1 for _ in syt_enumerate(shape, cap=cap))
-                    yield (f"counts disagree on {shape}: hook={hook}, "
+                    yield (f"counts disagree on {shape}: hook={hook}, product={product}, "
                            f"removal={removal}, listed={listed}",
-                           hook == removal == listed)
+                           hook == product == removal == listed)
         yield run_check("oracle-triple-agreement",
                         f"shapes with <={bound} cells, <=6 columns", cases())
 
@@ -383,9 +384,10 @@ _SUITES = {"alpha": suite_alpha, "gamma3": suite_gamma3, "gammaS": suite_gammas,
 SUITE_NAMES = (*_SUITES, "all")
 
 # Under `max_cells = m` every range becomes m, except these: min(default, m // divisor).
-# The divisor 2 is there because the Catalan diagonal puts 2k cells at k.
+# The divisor 2 is there because the Catalan diagonal puts 2k cells at k. The oracle's
+# `max_cells` is capped so that listing fillings stays at its default 12 cells at most.
 _CAPPED_RANGES = {"catalan_n": 2, "r3_cross_n": 1, "cross_n": 1, "conj_cells": 1,
-                  "ident_n": 1}
+                  "ident_n": 1, "max_cells": 1}
 
 
 def run_suite(name: str, max_cells: int | None = None,

@@ -224,3 +224,11 @@ def test_ratio_suite_cross_checks_series_against_growth():
     checks = {c.name: c for c in run_suite("ratio", max_cells=10).checks}
     cross = checks["ratio-totals-series-vs-growth"]
     assert (cross.scope, cross.passed, cross.checked) == ("2<=s<=7, n<=10", True, 6 * 11)
+
+
+def test_oracle_listing_range_stays_capped_under_large_max_cells():
+    checks = {c.name: c for c in run_suite("oracle", max_cells=20).checks}
+    triple = checks["oracle-triple-agreement"]
+    assert triple.scope == "shapes with <=12 cells, <=6 columns"
+    assert triple.passed and triple.checked > 0
+    assert checks["conjugation-invariance"].scope == "shapes with <=20 cells"

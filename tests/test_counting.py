@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from sytcount.counting import (HookDivisionError, StandardTableau,
-                               _hook_count, syt_count_hlf,
+                               _hook_count, syt_count_hlf, syt_count_hook_product,
                                syt_count_recursive, syt_enumerate)
 from sytcount.shapes import ColumnShape, conjugate, partitions_at_most
 
@@ -114,5 +114,15 @@ def test_classical_identities_desk_anchor():
 def test_hook_division_guard_fails_loudly():
     # a malformed column list (bypassing ColumnShape validation) makes the
     # exactness check trip instead of returning a silently wrong count
-    with pytest.raises(HookDivisionError):
-        _hook_count((1, 2))
+    for cols in ((1, 2), (2, 3, 1)):
+        with pytest.raises(HookDivisionError):
+            _hook_count(cols)
+
+
+def test_per_shape_routes_agree():
+    narrow = [cols for n in range(25) for cols in partitions_at_most(n, 6)]
+    wide = [cols for n in range(1, 19) for cols in partitions_at_most(n, n)]
+    for cols in narrow + wide:
+        shape = ColumnShape(cols)
+        assert (syt_count_hlf(shape) == syt_count_hook_product(shape)
+                == syt_count_recursive(shape)), cols

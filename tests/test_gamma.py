@@ -1,5 +1,7 @@
 import pytest
 
+import sytcount.gamma as gamma
+import sytcount.shapes as shapes
 from sytcount.counting import syt_count_hlf
 from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
                             _recurrence_entry, alpha, ballot_entry,
@@ -7,7 +9,7 @@ from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
                             correction_r3, entry_corrections, gamma_def,
                             gamma_rec, row_correction_terms, seed_rows)
 from sytcount.sequences import catalan, tau
-from sytcount.shapes import ColumnShape
+from sytcount.shapes import ColumnShape, enumerate_family, partitions_at_most
 
 
 # --- two-column triangle ----------------------------------------------------
@@ -197,3 +199,33 @@ def test_compare_methods_reports():
         compare_methods(2, 10)
     with pytest.raises(ValueError):
         compare_methods(3, -1)
+
+
+def test_cold_table_builds_scan_each_row_once(monkeypatch):
+    yielded, scans = [], []
+
+    def counting_family(query):
+        for shape in enumerate_family(query):
+            yielded.append(shape)
+            yield shape
+
+    def counting_partitions(cells, width):
+        scans.append((cells, width))
+        return partitions_at_most(cells, width)
+
+    monkeypatch.setattr(gamma, "enumerate_family", counting_family)
+    monkeypatch.setattr(shapes, "partitions_at_most", counting_partitions)
+
+    def cold_yields(method):
+        for cached in (gamma.gamma_def, gamma.correction_r, shapes._families):
+            cached.cache_clear()
+        gamma._rec_rows.clear()
+        yielded.clear()
+        scans.clear()
+        build_table(6, 30, method)
+        assert len(scans) == len(set(scans))  # each row is bucketed once
+        return len(yielded)
+
+    total = sum(len(partitions_at_most(n, 6)) for n in range(31))
+    assert cold_yields("definitional") == total
+    assert cold_yields("recurrence") <= 5 * total

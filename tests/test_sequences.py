@@ -141,8 +141,8 @@ def test_tau_series_rejects_bad_arguments():
             call(3, -1)
 
 
-def test_cleared_series_memo_rebuilds_from_degree_one(monkeypatch):
-    tau_series(5, len(TAU5_PREFIX) + 60)
+def _recorded_degrees(monkeypatch):
+    """The degrees `_determinant_totals` is called with from now on."""
     degrees = []
     build = seq._determinant_totals
 
@@ -151,9 +151,32 @@ def test_cleared_series_memo_rebuilds_from_degree_one(monkeypatch):
         return build(s, degree)
 
     monkeypatch.setattr(seq, "_determinant_totals", recording)
+    return degrees
+
+
+def test_cleared_series_memo_rebuilds_from_degree_one(monkeypatch):
+    tau_series(5, len(TAU5_PREFIX) + 60)
+    degrees = _recorded_degrees(monkeypatch)
     seq._series_states[5].clear()
     assert tau_series(5, len(TAU5_PREFIX) - 1) == TAU5_PREFIX[-1]
     assert [tau_series(5, n) for n in range(len(TAU5_PREFIX))] == TAU5_PREFIX
+    assert degrees == [10]
+
+
+def test_cold_wide_series_request_builds_its_degree_once(monkeypatch):
+    degrees = _recorded_degrees(monkeypatch)
+    seq._series_states[40].clear()
+    total = tau_series(40, 70)
+    assert degrees == [70]
+    assert involutions(40) == tau_series(40, 40) and total < involutions(70)
+    assert degrees == [70]
+
+
+def test_ascending_series_sweep_doubles_its_degree(monkeypatch):
+    degrees = _recorded_degrees(monkeypatch)
+    seq._series_states[5].clear()
+    for n in range(1, 17):
+        assert tau_series(5, n) == tau_growth(5, n)
     assert degrees == [1, 2, 4, 8, 16]
 
 

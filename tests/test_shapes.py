@@ -158,3 +158,18 @@ def test_r3_shape_is_the_unique_family_member():
                 assert shape.cells == n - 1
                 assert shape.column(1) == shape.column(2)
                 assert shape.column(2) - shape.column(3) == i - 1
+
+
+def test_bucketed_families_match_a_brute_filter_in_order():
+    for s in range(1, 7):
+        for n in range(31):
+            shapes = [ColumnShape(cols) for cols in partitions_at_most(n, s)]
+            for diff in (None, *range(n // 2 + 2)):
+                for pair in (None, *range(1, s + 1)):
+                    expected = [
+                        shape.columns for shape in shapes
+                        if (diff is None or shape.column(2) - shape.column(3) == diff)
+                        and (pair is None or shape.column(pair) == shape.column(pair + 1))]
+                    query = ShapeFamilyQuery(cells=n, max_width=s,
+                                             second_third_diff=diff, equal_pair=pair)
+                    assert columns_in(query) == expected, query
