@@ -148,6 +148,8 @@ def _cmd_hook(args, parser) -> tuple[str, int]:
 
 
 def _cmd_oracle(args, parser) -> tuple[str, int]:
+    if args.oracle_cap < 0:
+        parser.error("--oracle-cap must be >= 0")
     shape = _parse_shape(parser, args.shape)
     try:
         count = sum(1 for _ in syt_enumerate(shape, cap=args.oracle_cap))

@@ -2,9 +2,9 @@
 
 Four independent routes compute the same number: the Frobenius difference
 product on the column lengths (the workhorse), the cell-by-cell hook product,
-a memoized corner-removal recursion, and explicit enumeration of the
-fillings. The other three exist to validate the first and each other; no
-floating point appears anywhere.
+a memoized corner-removal recursion, and listing the fillings by one memo-free
+walk of the tableau tree (`tableau_walk`). The other three validate the first
+and each other; no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -40,19 +40,11 @@ class StandardTableau:
 
     def is_standard(self) -> bool:
         """Entries are 1..n, strictly increasing down columns and along rows."""
-        entries = [x for col in self.columns for x in col]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
-            return False
-        for col in self.columns:
-            if any(col[r] >= col[r + 1] for r in range(len(col) - 1)):
-                return False
-        for k in range(len(self.columns) - 1):
-            left, right = self.columns[k], self.columns[k + 1]
-            if len(right) > len(left):
-                return False
-            if any(left[r] >= right[r] for r in range(len(right))):
-                return False
-        return True
+        cols = self.columns
+        return (sorted(x for col in cols for x in col) == list(range(1, self.cells + 1))
+                and all(a < b for col in cols for a, b in zip(col, col[1:]))
+                and all(len(right) <= len(left) and all(a < b for a, b in zip(left, right))
+                        for left, right in zip(cols, cols[1:])))
 
 
 @cache
@@ -106,33 +98,37 @@ def syt_count_recursive(shape: ColumnShape) -> int:
     return _removal_count(shape.columns)
 
 
+def tableau_walk(bounds: tuple[int, ...], cells: int, every_node: bool = False
+                 ) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """Depth-first walk of the fillings of 1..m (m <= `cells`) with column k at most
+    `bounds[k]` tall; a child adds m + 1 at a corner, trying columns left to right.
+    Yields the live `(heights, filling)` at every node, or only at m == `cells`."""
+    width, path, k = len(bounds), [], 0 if cells else len(bounds)
+    heights, filling = [0] * width, [[] for _ in bounds]
+    if every_node or not cells:
+        yield heights, filling
+    while k < width or path:
+        if k < width and heights[k] < bounds[k] and (not k or heights[k] < heights[k - 1]):
+            heights[k] += 1  # place the next entry in column k and descend
+            path.append(k)
+            filling[k].append(len(path))
+            if every_node or len(path) == cells:
+                yield heights, filling
+            k = width if len(path) == cells else 0
+        else:
+            if k == width:  # lift the last entry; its next sibling is one column right
+                k = path.pop()
+                filling[k].pop()
+                heights[k] -= 1
+            k += 1
+
+
 def syt_enumerate(shape: ColumnShape,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[StandardTableau]:
-    """Yield every standard filling of `shape`, deterministically ordered.
-
-    Fillings are produced by placing 1..n at addable corners, trying columns
-    left to right. Shapes above `cap` cells are rejected up front: the number
-    of fillings grows super-exponentially and this enumeration exists for
-    desk-scale validation only.
-    """
+    """Lazily yield the standard fillings of `shape`, bounding `tableau_walk` by its
+    columns. Above `cap` cells it raises: listing is for desk-scale validation."""
     if shape.cells > cap:
         raise ValueError(
             f"shape has {shape.cells} cells, above the enumeration cap of {cap}")
-    cols = shape.columns
-    n = shape.cells
-    heights = [0] * len(cols)
-    filling: list[list[int]] = [[] for _ in cols]
-
-    def place(symbol: int) -> Iterator[StandardTableau]:
-        if symbol > n:
-            yield StandardTableau(tuple(tuple(col) for col in filling))
-            return
-        for k in range(len(cols)):
-            if heights[k] < cols[k] and (k == 0 or heights[k] < heights[k - 1]):
-                heights[k] += 1
-                filling[k].append(symbol)
-                yield from place(symbol + 1)
-                filling[k].pop()
-                heights[k] -= 1
-
-    return place(1)
+    return (StandardTableau(tuple(map(tuple, filling)))
+            for _, filling in tableau_walk(shape.columns, shape.cells))

@@ -1,10 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sytcount
+from sytcount import verify
 from sytcount.cli import run
 from sytcount.report import CheckResult, VerificationReport
+from sytcount.shapes import ColumnShape
 from sytcount.verify import run_suite
 
 
@@ -206,6 +213,21 @@ def test_verify_rejects_negative_oracle_cap(capsys):
         run_suite("oracle", max_cells=4, oracle_cap=-1)
 
 
+def test_oracle_rejects_negative_cap(capsys):
+    status, out, err = invoke(capsys, "oracle", "--shape", "2,1", "--oracle-cap", "-1")
+    assert status == 2
+    assert out == ""
+    assert "--oracle-cap must be >= 0" in err
+    assert "enumeration cap" not in err
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(sytcount.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "sytcount", "oracle", "--shape", "2,1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "2\n")
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys)[0] == 2
@@ -232,3 +254,20 @@ def test_oracle_listing_range_stays_capped_under_large_max_cells():
     assert triple.scope == "shapes with <=12 cells, <=6 columns"
     assert triple.passed and triple.checked > 0
     assert checks["conjugation-invariance"].scope == "shapes with <=20 cells"
+
+
+def test_oracle_catches_a_dropped_filling(monkeypatch):
+    walk, dropped = verify.tableau_walk, []
+
+    def dropping(*args, **kwargs):
+        for index, (heights, filling) in enumerate(walk(*args, **kwargs)):
+            if index == 500:
+                dropped.append(ColumnShape(tuple(h for h in heights if h)))
+            else:
+                yield heights, filling
+    monkeypatch.setattr(verify, "tableau_walk", dropping)
+    checks = {c.name: c for c in run_suite("oracle", max_cells=8).checks}
+    triple = checks["oracle-triple-agreement"]
+    assert len(dropped) == 1
+    assert not triple.passed and triple.checked > 0
+    assert triple.counterexample.startswith(f"counts disagree on {dropped[0]}: ")

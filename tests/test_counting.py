@@ -1,10 +1,13 @@
+import hashlib
+from collections import Counter
 from math import factorial
 
 import pytest
 
+from sytcount import counting
 from sytcount.counting import (HookDivisionError, StandardTableau,
                                _hook_count, syt_count_hlf, syt_count_hook_product,
-                               syt_count_recursive, syt_enumerate)
+                               syt_count_recursive, syt_enumerate, tableau_walk)
 from sytcount.shapes import ColumnShape, conjugate, partitions_at_most
 
 
@@ -63,6 +66,57 @@ def test_enumeration_cap_guard():
     # the cap is overridable
     wide = ColumnShape((9, 9))
     assert sum(1 for _ in syt_enumerate(wide, cap=18)) == syt_count_hlf(wide)
+
+
+# SHA-256 over every filling that `syt_enumerate` lists for the shapes with <= 8 cells
+# and <= 6 columns, shapes in `partitions_at_most` order, one `repr(columns)` line each.
+LISTING_DIGEST = "26cb9f81805b61dbed8ef5685cfa17337502e75921554c4b2da499fffd6dd5c5"
+
+
+def test_listing_order_is_pinned():
+    digest, listed = hashlib.sha256(), 0
+    for n in range(9):
+        for cols in partitions_at_most(n, 6):
+            for tableau in syt_enumerate(ColumnShape(cols)):
+                digest.update(repr(tableau.columns).encode() + b"\n")
+                listed += 1
+    assert (digest.hexdigest(), listed) == (LISTING_DIGEST, 1107)
+
+
+def test_enumeration_is_lazy(monkeypatch):
+    built = []
+    monkeypatch.setattr(counting, "StandardTableau",
+                        lambda columns: built.append(columns) or StandardTableau(columns))
+    shape = ColumnShape((6, 4, 3, 2, 1))  # 16 cells, 1,153,152 fillings
+    listing = syt_enumerate(shape)
+    assert iter(listing) is listing and not built
+    first = next(listing)
+    assert first.columns == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10), (11, 12, 13), (14, 15), (16,))
+    next(listing)
+    assert len(built) == 2 and syt_count_hlf(shape) == 1153152
+
+
+def test_walk_tallies_need_no_memo(monkeypatch):
+    def refuse(cols):
+        raise AssertionError(f"the walk read a memo for {cols}")
+    monkeypatch.setattr(counting, "_removal_count", refuse)
+    monkeypatch.setattr(counting, "_hook_count", refuse)
+    tally = Counter(tuple(h) for h, _ in tableau_walk((12,) * 6, 12, every_node=True))
+    shapes = [cols for n in range(13) for cols in partitions_at_most(n, 6)]
+    assert len(shapes) == len(tally) == 227
+    for cols in shapes:
+        padded = cols + (0,) * (6 - len(cols))
+        assert tally[padded] == syt_count_hook_product(ColumnShape(cols)), cols
+
+
+def test_walk_nodes_are_the_distinct_standard_fillings():
+    seen = set()
+    for heights, filling in tableau_walk((8,) * 6, 8, every_node=True):
+        tableau = StandardTableau(tuple(tuple(col) for col in filling if col))
+        assert tableau.is_standard() and heights == [len(col) for col in filling]
+        seen.add(tableau)
+    assert len(seen) == sum(syt_count_hlf(ColumnShape(cols))
+                            for n in range(9) for cols in partitions_at_most(n, 6))
 
 
 def test_is_standard_detects_bad_fillings():
