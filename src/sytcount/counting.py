@@ -127,6 +127,8 @@ def syt_enumerate(shape: ColumnShape,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[StandardTableau]:
     """Lazily yield the standard fillings of `shape`, bounding `tableau_walk` by its
     columns. Above `cap` cells it raises: listing is for desk-scale validation."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if shape.cells > cap:
         raise ValueError(
             f"shape has {shape.cells} cells, above the enumeration cap of {cap}")

@@ -11,13 +11,12 @@ Comparing the two routes entrywise is the point of this module.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache
 
 from ._memo import Memo
 from .counting import syt_count_hlf
-from .report import VerificationReport, run_check
+from .report import VerificationReport, run_check, timed_report
 from .shapes import ColumnShape, ShapeFamilyQuery, enumerate_family, r3_shape
 
 DEFINITIONAL = "definitional"
@@ -256,16 +255,15 @@ def compare_methods(s: int, max_n: int) -> VerificationReport:
         raise ValueError("width bound must be at least 3")
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    start = time.perf_counter()
-    entries = [(n, i) for n in range(max_n + 1) for i in range(n // 2 + 1)]
 
-    def cases():
-        for n, i in entries:
-            by_def, by_rec = gamma_def(s, n, i), gamma_rec(s, n, i)
-            yield (f"n={n}, i={i}: definitional={by_def}, recurrence={by_rec}",
-                   by_def == by_rec)
+    def checks():
+        entries = [(n, i) for n in range(max_n + 1) for i in range(n // 2 + 1)]
+        def cases():
+            for n, i in entries:
+                by_def, by_rec = gamma_def(s, n, i), gamma_rec(s, n, i)
+                yield (f"n={n}, i={i}: definitional={by_def}, recurrence={by_rec}",
+                       by_def == by_rec)
+        yield run_check("gamma-def-vs-recurrence",
+                        f"s={s}, n<={max_n} ({len(entries)} entries)", cases())
 
-    check = run_check("gamma-def-vs-recurrence",
-                      f"s={s}, n<={max_n} ({len(entries)} entries)", cases())
-    return VerificationReport(suite=f"gamma-compare-s{s}", checks=[check],
-                              elapsed=time.perf_counter() - start)
+    return timed_report(f"gamma-compare-s{s}", checks())

@@ -1,9 +1,12 @@
-"""Structured pass/fail records for identity checks."""
+"""Structured pass/fail records for identity checks, and the one place where a
+check is recorded, skipped and timed."""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 REPORT_SCHEMA = 1
 
@@ -34,12 +37,6 @@ class VerificationReport:
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def first_failure(self) -> CheckResult | None:
-        for check in self.checks:
-            if not check.passed:
-                return check
-        return None
 
     def to_json_obj(self) -> dict:
         return {
@@ -91,3 +88,17 @@ def run_check(name: str, scope: str, cases) -> CheckResult:
         scope = f"skipped: no cases in {scope}"
     return CheckResult(name=name, scope=scope, passed=counterexample is None,
                        checked=checked, counterexample=counterexample)
+
+
+def skip_check(name: str, reason: str) -> CheckResult:
+    """A check whose range is too small to hold any case; it passes having
+    checked nothing, and its scope says why."""
+    return CheckResult(name=name, scope=f"skipped: {reason}", passed=True, checked=0)
+
+
+def timed_report(suite: str, checks: Iterable[CheckResult]) -> VerificationReport:
+    """Run `checks`, typically a suite's generator, into one report; `elapsed`
+    covers all the work done while drawing them."""
+    start = time.perf_counter()
+    done = list(checks)
+    return VerificationReport(suite=suite, checks=done, elapsed=time.perf_counter() - start)

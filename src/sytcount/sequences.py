@@ -361,12 +361,12 @@ class RatioRow(NamedTuple):
     approx: str
 
 
-def ratio_table(s: int, max_n: int, digits: int = 12) -> list[RatioRow]:
-    """Exact ratios for n = 1..max_n, each with a presentation decimal."""
+def ratio_table(s: int, max_n: int) -> list[RatioRow]:
+    """Exact ratios for n = 1..max_n, each with a 12-digit presentation decimal."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     rows = []
     for n in range(1, max_n + 1):
         value = ratio(s, n)
-        rows.append(RatioRow(n, value, approx_decimal(value, digits)))
+        rows.append(RatioRow(n, value, approx_decimal(value)))
     return rows

@@ -85,6 +85,21 @@ GOLDENS = {
         "6a336a8f7a503696b6a9fb50f993bd383a3f7c828be35182cb1cd23eb1aa13a7",
     "verify --suite oracle --max-cells 12":
         "2e73998de6edee65df2a41a0d68f8d9c246faa3f1c80de6a7c9f64a4ec8cc305",
+    # Default ranges, every skip record, checks with no cases, and both
+    # branches of the decomposition-shrink check; taken from the code before
+    # the suites became generators.
+    "verify --suite all":
+        "d98027a3d6018db335d6dacb617e055dbda00836adf31726296bcf95e3c08d0e",
+    "verify --suite all --max-cells 0 --format csv":
+        "ba4190b249a507cb5ce5937771140464a91f3e52510ac85c67a8716e18a09cba",
+    "verify --suite tau --max-cells 2":
+        "fa53eda52e2ed251dd0acba0775d250866578b7f1f5de085dea169e531ca35f7",
+    "verify --suite tau --max-cells 4":
+        "08b4ebb5b605aa47a02008a31ed274b6cc2bbb94019de64756b23667a3725f9a",
+    "verify --suite ratio --max-cells 2":
+        "3e19c116c40bae9609bd43c945d199a4481d6d18292a38e0e2b8abe4b077d9d4",
+    "verify --suite ratio --max-cells 10":
+        "493280469876599042c09d94bc8a801e4c6ecc8a0cec65540bb8ea9b9be14f74",
 }
 
 

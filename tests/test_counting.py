@@ -68,6 +68,14 @@ def test_enumeration_cap_guard():
     assert sum(1 for _ in syt_enumerate(wide, cap=18)) == syt_count_hlf(wide)
 
 
+def test_enumeration_rejects_a_negative_cap_before_counting_cells():
+    # the empty shape has 0 cells, so a cell check alone would blame the shape
+    with pytest.raises(ValueError, match=r"^cap must be >= 0$"):
+        syt_enumerate(ColumnShape(()), cap=-1)
+    with pytest.raises(ValueError, match=r"^cap must be >= 0$"):
+        syt_enumerate(ColumnShape((2, 1)), cap=-1)
+
+
 # SHA-256 over every filling that `syt_enumerate` lists for the shapes with <= 8 cells
 # and <= 6 columns, shapes in `partitions_at_most` order, one `repr(columns)` line each.
 LISTING_DIGEST = "26cb9f81805b61dbed8ef5685cfa17337502e75921554c4b2da499fffd6dd5c5"
