@@ -5,6 +5,10 @@ Exit status is 0 on success (including an all-pass verification), 1 when a
 verification suite fails, and 2 on usage errors. All counts are printed as
 exact decimal strings; output is byte-identical across runs except for the
 `elapsed` field of verification reports.
+
+This is the only module that turns values into text: each subcommand builds
+its rows or its document and hands them to the one CSV writer or the one
+JSON writer below.
 """
 
 from __future__ import annotations
@@ -12,15 +16,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from dataclasses import asdict
+from typing import Iterable, Sequence
 
 from .counting import DEFAULT_ENUMERATION_CAP, syt_count_hlf, syt_enumerate
 from .gamma import TABLE_METHODS, build_table, gamma_def, gamma_rec
-from .sequences import CLOSED_FORMS, TAU_METHODS, ratio_decomposition, ratio_table, tau
+from .sequences import (CLOSED_FORMS, TAU_METHODS, RatioParts, ratio_decomposition,
+                        ratio_table, tau)
 from .shapes import ColumnShape
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
+REPORT_SCHEMA = 1
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line and one line per row; a field holding a comma, a quote
+    or a newline is quoted, with its quotes doubled."""
+    def field(value) -> str:
+        text = str(value)
+        if any(ch in text for ch in ',"\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    return "\n".join(",".join(map(field, line)) for line in [header, *rows])
+
+
+def _json(document) -> str:
+    return json.dumps(document, indent=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,11 +137,9 @@ def _cmd_tau(args, parser) -> tuple[str, int]:
         parser.error("--max-cells must be >= 0")
     values = [(n, tau(args.columns, n, args.method)) for n in range(args.max_cells + 1)]
     if args.format == "json":
-        payload = {"s": args.columns, "method": args.method,
-                   "values": [{"n": n, "value": str(v)} for n, v in values]}
-        return json.dumps(payload, indent=2), 0
-    lines = ["n,value"] + [f"{n},{v}" for n, v in values]
-    return "\n".join(lines), 0
+        return _json({"s": args.columns, "method": args.method,
+                      "values": [{"n": n, "value": str(v)} for n, v in values]}), 0
+    return _csv(("n", "value"), values), 0
 
 
 def _cmd_gamma(args, parser) -> tuple[str, int]:
@@ -138,8 +159,11 @@ def _cmd_table(args, parser) -> tuple[str, int]:
         parser.error("--max-cells must be >= 0")
     table = build_table(args.columns, args.max_cells, TABLE_METHODS[args.method])
     if args.format == "json":
-        return json.dumps(table.to_json_obj(), indent=2), 0
-    return table.to_csv_text(), 0
+        return _json({"s": table.s, "method": table.method,
+                      "rows": [[str(value) for value in row] for row in table.rows]}), 0
+    entries = [(n, i, value)
+               for n, row in enumerate(table.rows) for i, value in enumerate(row)]
+    return _csv(("n", "i", "value"), entries), 0
 
 
 def _cmd_hook(args, parser) -> tuple[str, int]:
@@ -166,47 +190,32 @@ def _cmd_ratio(args, parser) -> tuple[str, int]:
         parser.error("--max-cells must be >= 1")
     if args.decompose and args.columns != 3:
         parser.error("--decompose is only defined for --columns 3")
-    rows = ratio_table(args.columns, args.max_cells)
-    parts = {}
-    if args.decompose:
-        parts = {n: ratio_decomposition(n) for n in range(3, args.max_cells + 1)}
-
+    records = []
+    for row in ratio_table(args.columns, args.max_cells):
+        record = {"n": row.n, **_fraction_obj(row.value), "approx": row.approx}
+        if args.decompose and row.n >= 3:
+            parts = ratio_decomposition(row.n)._asdict()
+            record["decomposition"] = {name: _fraction_obj(share)
+                                       for name, share in parts.items()}
+        records.append(record)
     if args.format == "json":
-        payload_rows = []
-        for row in rows:
-            entry = {"n": row.n, "numerator": str(row.value.numerator),
-                     "denominator": str(row.value.denominator), "approx": row.approx}
-            if args.decompose and row.n in parts:
-                p = parts[row.n]
-                entry["decomposition"] = {
-                    "parity": _fraction_obj(p.parity),
-                    "gamma0": _fraction_obj(p.gamma0),
-                    "correction": _fraction_obj(p.correction),
-                }
-            payload_rows.append(entry)
-        return json.dumps({"s": args.columns, "rows": payload_rows}, indent=2), 0
-
-    header = "n,numerator,denominator,approx"
+        return _json({"s": args.columns, "rows": records}), 0
+    header = ["n", "numerator", "denominator", "approx"]
     if args.decompose:
-        header += (",parity_num,parity_den,gamma0_num,gamma0_den,"
-                   "correction_num,correction_den")
-    lines = [header]
-    for row in rows:
-        line = f"{row.n},{row.value.numerator},{row.value.denominator},{row.approx}"
-        if args.decompose:
-            if row.n in parts:
-                p = parts[row.n]
-                line += (f",{p.parity.numerator},{p.parity.denominator}"
-                         f",{p.gamma0.numerator},{p.gamma0.denominator}"
-                         f",{p.correction.numerator},{p.correction.denominator}")
-            else:
-                line += "," * 6
-        lines.append(line)
-    return "\n".join(lines), 0
+        header += [f"{name}_{end}" for name in RatioParts._fields for end in ("num", "den")]
+    return _csv(header, (_leaves(record, len(header)) for record in records)), 0
 
 
 def _fraction_obj(value) -> dict:
     return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
+
+
+def _leaves(record: dict, width: int) -> list:
+    """A ratio record's leaf values in order, one CSV row blank-padded to `width`."""
+    fields = []
+    for value in record.values():
+        fields.extend(_leaves(value, 0) if isinstance(value, dict) else [value])
+    return fields + [""] * (width - len(fields))
 
 
 def _cmd_verify(args, parser) -> tuple[str, int]:
@@ -215,8 +224,14 @@ def _cmd_verify(args, parser) -> tuple[str, int]:
             parser.error(f"{flag} must be >= 0")
     report = run_suite(args.suite, max_cells=args.max_cells,
                        oracle_cap=args.oracle_cap)
-    text = report.to_json() if args.format == "json" else report.to_csv_text()
-    return text, 0 if report.overall else 1
+    status = 0 if report.overall else 1
+    if args.format == "json":
+        return _json({"schema": REPORT_SCHEMA, "suite": report.suite,
+                      "overall": report.overall, "elapsed": round(report.elapsed, 6),
+                      "checks": [asdict(check) for check in report.checks]}), status
+    rows = [(c.name, c.scope, "pass" if c.passed else "fail", c.checked,
+             c.counterexample or "") for c in report.checks]
+    return _csv(("name", "scope", "passed", "checked", "counterexample"), rows), status
 
 
 def run(argv: Sequence[str] | None = None) -> int:

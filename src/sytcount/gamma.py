@@ -206,19 +206,6 @@ class GammaTable:
     def row_sum(self, n: int) -> int:
         return sum(self.rows[n])
 
-    def to_csv_text(self) -> str:
-        lines = ["n,i,value"]
-        for n, row in enumerate(self.rows):
-            lines.extend(f"{n},{i},{value}" for i, value in enumerate(row))
-        return "\n".join(lines)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "method": self.method,
-            "rows": [[str(value) for value in row] for row in self.rows],
-        }
-
 
 def _two_column_def(n: int, i: int) -> int:
     cols = (n - i, i) if i else ((n,) if n else ())

@@ -3,12 +3,9 @@ check is recorded, skipped and timed."""
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
-
-REPORT_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -37,41 +34,6 @@ class VerificationReport:
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "suite": self.suite,
-            "overall": self.overall,
-            "elapsed": round(self.elapsed, 6),
-            "checks": [
-                {
-                    "name": c.name,
-                    "scope": c.scope,
-                    "passed": c.passed,
-                    "checked": c.checked,
-                    "counterexample": c.counterexample,
-                }
-                for c in self.checks
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
-    def to_csv_text(self) -> str:
-        lines = ["name,scope,passed,checked,counterexample"]
-        for c in self.checks:
-            fields = [c.name, c.scope, "pass" if c.passed else "fail",
-                      str(c.checked), c.counterexample or ""]
-            lines.append(",".join(_csv_quote(f) for f in fields))
-        return "\n".join(lines)
-
-
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def run_check(name: str, scope: str, cases) -> CheckResult:

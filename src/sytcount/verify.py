@@ -333,6 +333,8 @@ def run_suite(name: str, max_cells: int | None = None,
     """Run one named suite (or "all"), clipping ranges to `max_cells` when given."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if max_cells is not None and max_cells < 0:
+        raise ValueError("max_cells must be >= 0")
     if oracle_cap is not None and oracle_cap < 0:
         raise ValueError("oracle_cap must be >= 0")
 

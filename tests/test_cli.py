@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -195,6 +197,18 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert json.loads(out)["overall"] is False
 
 
+def test_verify_csv_quotes_commas_quotes_and_newlines(capsys, monkeypatch):
+    record = ["broken", "n<=1, i<=0", "fail", "1", 'saw "a,b"\nthen c']
+    failing = VerificationReport(
+        suite="alpha",
+        checks=[CheckResult(record[0], record[1], False, 1, record[4])])
+    monkeypatch.setattr("sytcount.cli.run_suite", lambda *a, **k: failing)
+    status, out, _ = invoke(capsys, "verify", "--suite", "alpha", "--format", "csv")
+    assert status == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["name", "scope", "passed", "checked", "counterexample"], record]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     status, out, _ = invoke(capsys, "table", "--columns", "3", "--max-cells", "2",
@@ -211,6 +225,16 @@ def test_verify_rejects_negative_oracle_cap(capsys):
     assert "--oracle-cap must be >= 0" in err
     with pytest.raises(ValueError):
         run_suite("oracle", max_cells=4, oracle_cap=-1)
+
+
+@pytest.mark.parametrize("suite", ["tau", "alpha", "oracle", "all"])
+def test_run_suite_rejects_negative_max_cells(suite, capsys):
+    with pytest.raises(ValueError, match="max_cells must be >= 0"):
+        run_suite(suite, max_cells=-1)
+    status, out, err = invoke(capsys, "verify", "--suite", suite, "--max-cells", "-1")
+    assert status == 2
+    assert out == ""
+    assert "--max-cells must be >= 0" in err
 
 
 def test_oracle_rejects_negative_cap(capsys):

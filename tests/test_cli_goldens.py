@@ -100,6 +100,23 @@ GOLDENS = {
         "3e19c116c40bae9609bd43c945d199a4481d6d18292a38e0e2b8abe4b077d9d4",
     "verify --suite ratio --max-cells 10":
         "493280469876599042c09d94bc8a801e4c6ecc8a0cec65540bb8ea9b9be14f74",
+    # Totals as JSON, ratios without the decomposition, a decomposed table
+    # whose rows are mostly blank, and a report CSV with quoted scopes; taken
+    # from the code before one module rendered every output.
+    "tau --columns 3 --max-cells 12 --format json":
+        "e60aff8bfebb8dc7806e8443946b4c4474d745023261bd06e1313352f6ff5a11",
+    "tau --columns 5 --max-cells 12 --method recurrence --format json":
+        "e63d9f11812471f80a74155d013e6de847c8f3c7de01fb277ca06a7817f9c528",
+    "ratio --columns 4 --max-cells 20":
+        "89ad154b467bfc43e0f5d286b2e956adb4b9db3205813ebaecdf60f687ff2d96",
+    "ratio --columns 5 --max-cells 20 --format json":
+        "4ddaa8d1a6a136ea89931ad04a6993b1a6aea07f8e70c94876899b27cb24c822",
+    "ratio --columns 3 --max-cells 4 --decompose":
+        "2b0c5ecc6a22cf26dd2b6cf84d761d10687193f68d13cbf32655b9a106109ecc",
+    "ratio --columns 3 --max-cells 4 --decompose --format json":
+        "9a0f2023410a4472a96aa826e55a71731f0bf00ff9ddd0627a4223302b73fa0b",
+    "verify --suite ratio --max-cells 12 --format csv":
+        "8679df7e1e956d8736e12a54a1e9a7cc585596c84b7ac484f8eeb1a18dcf144d",
 }
 
 

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 import sytcount.gamma as gamma
 import sytcount.shapes as shapes
+from sytcount.cli import run
 from sytcount.counting import syt_count_hlf
 from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
                             _recurrence_entry, alpha, ballot_entry,
@@ -179,11 +182,13 @@ def test_table_entry_axioms():
         assert table.row_sum(n) == tau(4, n, "definition")
 
 
-def test_table_serialization():
-    table = build_table(3, 3, DEFINITIONAL)
-    assert table.to_csv_text().splitlines() == [
+def test_table_serialization(capsys):
+    argv = ["table", "--columns", "3", "--max-cells", "3"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
         "n,i,value", "0,0,1", "1,0,1", "2,0,1", "2,1,1", "3,0,2", "3,1,2"]
-    payload = table.to_json_obj()
+    assert run(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload == {"s": 3, "method": "definitional",
                        "rows": [["1"], ["1"], ["1", "1"], ["2", "2"]]}
 
