@@ -1,4 +1,4 @@
-"""A growing sequence memo that threads can share."""
+"""Growing sequence memos that threads can share, and a map of them by width."""
 
 import threading
 from typing import Callable
@@ -39,3 +39,21 @@ class Memo:
         """Drop every term past the seed."""
         with self._lock:
             del self._terms[self._seed_len:]
+
+
+class MemoMap(dict):
+    """Memos by width, each made once by `make(width)` when first asked for (under
+    a lock; a memo made is read without it). As a decorator it replaces `make`."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self._make = make
+        self._lock = threading.Lock()
+
+    def __missing__(self, key):
+        if type(key) is not int:  # 3.0 == 3: a float must not make width 3's memo
+            raise TypeError(f"memo widths are integers, not {key!r}")
+        with self._lock:
+            if key not in self:
+                self[key] = self._make(key)
+        return self[key]

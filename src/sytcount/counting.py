@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, starmap
 from math import factorial, prod
+from operator import add, gt, sub
 from typing import Iterator
 
 from .shapes import ColumnShape, conjugate
@@ -50,10 +51,10 @@ class StandardTableau:
 @cache
 def _hook_count(cols: tuple[int, ...]) -> int:
     # Frobenius: n! prod_{i<j} (l_i - l_j) / prod l_i!, with l_i = c_i + k - i.
-    lengths = [c + len(cols) - i for i, c in enumerate(cols, 1)]
-    if any(a <= b for a, b in zip(lengths, lengths[1:])):  # a 0 factor divides exactly
+    lengths = list(map(add, cols, range(len(cols) - 1, -1, -1)))
+    if not all(map(gt, lengths, lengths[1:])):  # a 0 factor divides exactly
         raise HookDivisionError(f"column lengths {cols} are not a shape")
-    numerator = factorial(sum(cols)) * prod(a - b for a, b in combinations(lengths, 2))
+    numerator = factorial(sum(cols)) * prod(starmap(sub, combinations(lengths, 2)))
     count, remainder = divmod(numerator, prod(map(factorial, lengths)))
     if remainder:
         raise HookDivisionError(f"inexact Frobenius quotient for columns {cols}")

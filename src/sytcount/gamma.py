@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from ._memo import Memo
-from .counting import syt_count_hlf
+from ._memo import Memo, MemoMap
+from .counting import _hook_count, syt_count_hlf
 from .report import VerificationReport, run_check, timed_report
-from .shapes import ColumnShape, ShapeFamilyQuery, enumerate_family, r3_shape
+from .shapes import ColumnShape, _families, r3_shape
 
 DEFINITIONAL = "definitional"
 RECURRENCE = "recurrence"
@@ -72,10 +72,9 @@ def _check_indices(s: int, n: int, i: int) -> None:
 
 @cache
 def gamma_def(s: int, n: int, i: int) -> int:
-    """Entry (n, i) of the width-s table, by direct hook-length sums."""
+    """Entry (n, i) of the width-s table, by hook-length sums over its c2 - c3 bucket."""
     _check_indices(s, n, i)
-    query = ShapeFamilyQuery(cells=n, max_width=s, second_third_diff=i)
-    return sum(syt_count_hlf(shape) for shape in enumerate_family(query))
+    return sum(map(_hook_count, _families(n, s).get(i, ())))
 
 
 @cache
@@ -85,8 +84,9 @@ def correction_r(s: int, j: int, n: int, i: int) -> int:
     _check_indices(s, n, i)
     if not 1 <= j <= s - 1:
         raise ValueError(f"need 1 <= j <= s-1, got j={j}")
-    query = ShapeFamilyQuery(cells=n, max_width=s, second_third_diff=i, equal_pair=j)
-    return sum(syt_count_hlf(shape) for shape in enumerate_family(query))
+    zeros = (0,) * s
+    return sum(_hook_count(cols) for cols in _families(n, s).get(i, ())
+               if (padded := cols + zeros)[j - 1] == padded[j])
 
 
 def correction_r3(n: int, i: int) -> int:
@@ -155,7 +155,8 @@ def _recurrence_entry(s: int, n: int, i: int, prev_row: list[int]) -> int:
     return value
 
 
-def _recurrence_memo(s: int) -> Memo:
+@MemoMap
+def _rec_rows(s: int) -> Memo:
     def step(rows: list[list[int]]) -> list[int]:
         n = len(rows)
         if n <= seed_rows(s):
@@ -163,10 +164,6 @@ def _recurrence_memo(s: int) -> Memo:
         return [_recurrence_entry(s, n, i, rows[n - 1]) for i in range(n // 2 + 1)]
 
     return Memo([], step)
-
-
-# One row memo per width, held as the terms of a memo indexed by s.
-_rec_rows = Memo([], lambda widths: _recurrence_memo(len(widths)))
 
 
 def gamma_rec(s: int, n: int, i: int) -> int:

@@ -17,7 +17,7 @@ from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
-from ._memo import Memo
+from ._memo import Memo, MemoMap
 from .gamma import (DEFINITIONAL, RECURRENCE, TABLE_METHODS, _table_row, gamma_def,
                     row_correction_terms)
 
@@ -97,7 +97,8 @@ def _check_totals_args(s: int, n: int) -> None:
         raise ValueError("cell count must be >= 0")
 
 
-def _growth_totals(s: int) -> Memo:
+@MemoMap
+def _growth_states(s: int) -> Memo:
     frontier: dict[tuple[int, ...], int] = {}
 
     def step(totals: list[int]) -> int:
@@ -116,10 +117,6 @@ def _growth_totals(s: int) -> Memo:
         return sum(level.values())
 
     return Memo([1], step)
-
-
-# One totals memo per width, held as the terms of a memo indexed by s.
-_growth_states = Memo([], lambda widths: _growth_totals(len(widths)))
 
 
 def tau_growth(s: int, n: int) -> int:
@@ -177,7 +174,8 @@ def _determinant_totals(s: int, degree: int) -> list[int]:
     return total
 
 
-def _series_totals(s: int) -> Memo:
+@MemoMap
+def _series_states(s: int) -> Memo:
     def step(totals: list[int], n: int) -> list[int]:
         # A request for n builds degree n in one batch, and an ascending sweep
         # doubles the degree built so far: O(log n) rebuilds per width.
@@ -185,10 +183,6 @@ def _series_totals(s: int) -> Memo:
         return _determinant_totals(s, max(n, 2 * built - 2))[built:]
 
     return Memo([1], step, batch=True)
-
-
-# One series totals memo per width, held as the terms of a memo indexed by s.
-_series_states = Memo([], lambda widths: _series_totals(len(widths)))
 
 
 def tau_series(s: int, n: int) -> int:
@@ -206,14 +200,12 @@ def _tau_definition(s: int, n: int) -> int:
     return sum(_table_row(s, n, DEFINITIONAL))
 
 
-def _checked_steps(s: int) -> Memo:
+@MemoMap
+def _steps_checked(s: int) -> Memo:
     """The width-s totals recurrence from its first step on (n = 1 for s = 2,
     n = s otherwise), each step verified once."""
     return Memo([None] * (1 if s == 2 else s),
                 lambda steps: tau_recurrence_step(s, len(steps), method="recurrence"))
-
-
-_steps_checked = Memo([], lambda widths: _checked_steps(len(widths)))
 
 
 def _tau_recurrence(s: int, n: int) -> int:

@@ -104,11 +104,13 @@ def partitions_at_most(cells: int, width: int) -> tuple[tuple[int, ...], ...]:
         if remaining == 0:
             out.append(prefix)
             return
-        if slots == 0:
-            return
         smallest = -(-remaining // slots)  # remaining parts must still fit
         for part in range(min(remaining, max_part), smallest - 1, -1):
-            grow(remaining - part, part, slots - 1, prefix + (part,))
+            if slots > 2:
+                grow(remaining - part, part, slots - 1, prefix + (part,))
+            else:  # the last two parts are this one and what it leaves
+                out.append(prefix + (part, remaining - part) if part < remaining
+                           else prefix + (part,))
 
     grow(cells, cells, width, ())
     return tuple(out)
@@ -124,7 +126,8 @@ def _families(cells: int, width: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     bucket in the same order. Buckets hold the plain column tuples."""
     buckets: dict[int, list[tuple[int, ...]]] = {}
     for cols in partitions_at_most(cells, width):
-        buckets.setdefault(_column(cols, 2) - _column(cols, 3), []).append(cols)
+        padded = cols + (0, 0, 0)
+        buckets.setdefault(padded[1] - padded[2], []).append(cols)
     return {diff: tuple(bucket) for diff, bucket in buckets.items()}
 
 

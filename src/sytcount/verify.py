@@ -7,19 +7,20 @@ from __future__ import annotations
 import inspect
 from collections import Counter
 from fractions import Fraction
+from itertools import pairwise
 from math import factorial
 from typing import Iterator
 
 from .counting import (DEFAULT_ENUMERATION_CAP, syt_count_hlf, syt_count_hook_product,
                        syt_count_recursive, tableau_walk)
-from .gamma import (DEFINITIONAL, NegativeEntryError, _recurrence_entry, _table_row,
-                    _two_column_def, alpha, ballot_entry, compare_methods, correction_r,
-                    correction_r3, gamma_def)
+from .gamma import (NegativeEntryError, _recurrence_entry, _two_column_def, alpha,
+                    ballot_entry, compare_methods, correction_r, correction_r3, gamma_def)
 from .report import CheckResult, VerificationReport, run_check, skip_check, timed_report
 from .sequences import (RecurrenceMismatchError, catalan, central_binomial,
                         involutions, motzkin, parity_indicator, ratio, ratio_decomposition,
                         tau, tau_growth, tau_recurrence_step, tau_series)
-from .shapes import ColumnShape, conjugate, partitions_at_most
+from .shapes import (ColumnShape, ShapeFamilyQuery, conjugate, enumerate_family,
+                     partitions_at_most)
 
 
 # --- two-column triangle -------------------------------------------------------
@@ -67,14 +68,17 @@ def suite_alpha(max_n: int = 40, catalan_n: int = 30) -> Iterator[CheckResult]:
 # --- width-3 table ---------------------------------------------------------------
 
 def _recurrence_identity_check(s: int, max_n: int) -> CheckResult:
-    """The row recurrence applied to the definitional previous row, so the
-    recurrence itself is what gets tested."""
+    """The row recurrence applied to the definitional previous row, so the recurrence
+    itself is what gets tested; here those rows are sums over validated shapes."""
+    def row(n):
+        return [sum(syt_count_hlf(shape) for shape in enumerate_family(
+                    ShapeFamilyQuery(cells=n, max_width=s, second_third_diff=i)))
+                for i in range(n // 2 + 1)]
     def cases():
-        for n in range(1, max_n + 1):
-            prev_row = _table_row(s, n - 1, DEFINITIONAL)
-            for i in range(n // 2 + 1):
+        for n, (prev_row, here) in enumerate(pairwise(map(row, range(max_n + 1))), 1):
+            for i, value in enumerate(here):
                 try:
-                    ok = _recurrence_entry(s, n, i, prev_row) == gamma_def(s, n, i)
+                    ok = _recurrence_entry(s, n, i, prev_row) == value
                 except NegativeEntryError:
                     ok = False
                 yield (f"recurrence misses definitional value at s={s}, n={n}, i={i}", ok)

@@ -4,11 +4,12 @@ import importlib
 import pkgutil
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import comb, factorial
 
 import sytcount
-from sytcount._memo import Memo
+from sytcount._memo import Memo, MemoMap
 from sytcount.gamma import gamma_def, gamma_rec
 from sytcount.sequences import tau, tau_growth, tau_series
 
@@ -39,11 +40,12 @@ def _at_most_five_columns(n):
 
 
 def _module_memos():
-    """Every Memo held at module level anywhere in the package."""
+    """Every Memo, and every MemoMap of per-width memos, held at module level
+    anywhere in the package."""
     modules = [importlib.import_module(f"sytcount.{info.name}")
                for info in pkgutil.iter_modules(sytcount.__path__)]
     return [value for module in modules for value in vars(module).values()
-            if isinstance(value, Memo)]
+            if isinstance(value, (Memo, MemoMap))]
 
 
 def _clear_memos():
@@ -82,3 +84,30 @@ def test_memos_extend_correctly_under_threads():
     assert results == [expected] * THREADS
     # the memos were left consistent, not poisoned
     assert {name: call() for name, call in CALLS.items()} == expected
+
+
+def test_memo_map_makes_each_width_once_under_threads():
+    made = []
+
+    def make(width):
+        made.append(width)
+        time.sleep(0.01)  # let the other threads reach the same miss
+        return Memo([width], lambda terms: terms[-1] + 1)
+
+    memos, results = MemoMap(make), []
+    def ask():
+        results.append([(id(memos[s]), memos[s][200]) for s in (7, 3, 7, 5)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(made) == [3, 5, 7] and sorted(memos) == [3, 5, 7]
+    expected = [(id(memos[s]), s + 200) for s in (7, 3, 7, 5)]
+    assert results == [expected] * THREADS

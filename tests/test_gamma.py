@@ -12,7 +12,8 @@ from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
                             correction_r3, entry_corrections, gamma_def,
                             gamma_rec, row_correction_terms, seed_rows)
 from sytcount.sequences import catalan, tau
-from sytcount.shapes import ColumnShape, enumerate_family, partitions_at_most
+from sytcount.shapes import (ColumnShape, ShapeFamilyQuery, enumerate_family,
+                             partitions_at_most)
 
 
 # --- two-column triangle ----------------------------------------------------
@@ -206,30 +207,54 @@ def test_compare_methods_reports():
         compare_methods(3, -1)
 
 
-def test_cold_table_builds_scan_each_row_once(monkeypatch):
-    yielded, scans = [], []
+def _validated_sum(query):
+    return sum(syt_count_hlf(shape) for shape in enumerate_family(query))
 
-    def counting_family(query):
-        for shape in enumerate_family(query):
-            yielded.append(shape)
-            yield shape
+
+def test_bucket_sums_equal_validated_shape_sums():
+    for s in range(3, 8):
+        for n in range(29):
+            for i in range(n // 2 + 2):  # the last bucket is always empty
+                family = {"cells": n, "max_width": s, "second_third_diff": i}
+                assert gamma_def(s, n, i) == _validated_sum(ShapeFamilyQuery(**family))
+                for j in range(1, s):
+                    query = ShapeFamilyQuery(**family, equal_pair=j)
+                    assert correction_r(s, j, n, i) == _validated_sum(query), query
+
+
+def test_float_indices_raise_a_type_error():
+    with pytest.raises(TypeError):
+        gamma_def(3, 7.5, 0)
+    with pytest.raises(TypeError):
+        correction_r(4, 1, 7.5, 0)
+    with pytest.raises(TypeError):
+        correction_r(4, 1.5, 7, 0)
+
+
+def test_cold_table_builds_scan_each_row_once(monkeypatch):
+    reads, scans = [], []  # the hook counts the bucket sums read, the rows bucketed
+
+    def counting_hooks(cols):
+        reads.append(cols)
+        return hook_count(cols)
 
     def counting_partitions(cells, width):
         scans.append((cells, width))
         return partitions_at_most(cells, width)
 
-    monkeypatch.setattr(gamma, "enumerate_family", counting_family)
+    hook_count = gamma._hook_count
+    monkeypatch.setattr(gamma, "_hook_count", counting_hooks)
     monkeypatch.setattr(shapes, "partitions_at_most", counting_partitions)
 
     def cold_yields(method):
         for cached in (gamma.gamma_def, gamma.correction_r, shapes._families):
             cached.cache_clear()
         gamma._rec_rows.clear()
-        yielded.clear()
+        reads.clear()
         scans.clear()
         build_table(6, 30, method)
         assert len(scans) == len(set(scans))  # each row is bucketed once
-        return len(yielded)
+        return len(reads)
 
     total = sum(len(partitions_at_most(n, 6)) for n in range(31))
     assert cold_yields("definitional") == total

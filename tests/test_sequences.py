@@ -254,6 +254,25 @@ def test_two_column_recurrence_total_is_certified_by_the_step(wrong_two_column_r
         tau(2, 10, "recurrence")
 
 
+def test_wide_recurrence_total_builds_only_its_own_width():
+    for memos in (seq._steps_checked, gamma._rec_rows, seq._growth_states):
+        memos.clear()
+    assert tau(3000, 2, "recurrence") == 2
+    assert tau_growth(3000, 3) == 4
+    assert list(seq._steps_checked) == list(gamma._rec_rows) == [3000]
+    assert list(seq._growth_states) == [3000]
+
+
+def test_a_cold_float_width_raises_and_leaves_the_width_memo_alone():
+    for memos in (seq._growth_states, seq._series_states, gamma._rec_rows):
+        memos.clear()
+    for call in (tau_growth, tau_series, lambda s, n: gamma.gamma_rec(s + 1, n, 1)):
+        with pytest.raises(TypeError):
+            call(3.0, 6)
+    assert tau_growth(3, 6) == tau_series(3, 6) == 51
+    assert gamma.gamma_rec(4, 6, 1) == gamma.gamma_def(4, 6, 1)
+
+
 def test_correction_aggregate_values():
     assert correction_aggregate(2, 9) == 0
     assert correction_aggregate(3, 4) == 1

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from sytcount.shapes import (ColumnShape, ShapeFamilyQuery, conjugate,
@@ -173,3 +175,17 @@ def test_bucketed_families_match_a_brute_filter_in_order():
                     query = ShapeFamilyQuery(cells=n, max_width=s,
                                              second_third_diff=diff, equal_pair=pair)
                     assert columns_in(query) == expected, query
+
+
+def test_partitions_match_a_brute_generator_in_order():
+    cells, width = 22, 8
+    by_sum = {}  # every weakly decreasing width-tuple of 0..cells, zero-padded
+    for parts in combinations_with_replacement(range(cells, -1, -1), width):
+        total = sum(parts)
+        if total <= cells:
+            by_sum.setdefault(total, []).append(parts)
+    for n in range(cells + 1):
+        for w in range(1, width + 1):
+            brute = sorted((tuple(p for p in parts if p) for parts in by_sum[n]
+                            if not any(parts[w:])), reverse=True)
+            assert list(partitions_at_most(n, w)) == brute, (n, w)
