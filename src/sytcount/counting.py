@@ -1,10 +1,10 @@
 """Exact per-shape tableau counting.
 
 Four independent routes compute the same number: the Frobenius difference
-product on the column lengths (the workhorse), the cell-by-cell hook product,
-a memoized corner-removal recursion, and listing the fillings by one memo-free
-walk of the tableau tree (`tableau_walk`). The other three validate the first
-and each other; no floating point appears anywhere.
+product on the column lengths (single shapes, and the check on the tables' growth
+sweep), the cell-by-cell hook product, a memoized corner-removal recursion, and
+listing the fillings by one memo-free walk of the tableau tree (`tableau_walk`).
+The other three validate the first and each other; no floats appear anywhere.
 """
 
 from __future__ import annotations

@@ -3,21 +3,21 @@
 The entry at (n, i) of the width-s table counts standard Young tableaux with
 n cells, at most s columns, and second-minus-third column difference i (for
 s = 2 this reduces to indexing two-column shapes by their second column).
-Each table can be built two independent ways: definitionally, by summing
-hook-length counts over the matching shape family, or by a three-term row
-recurrence whose correction terms are themselves explicit family sums.
+Each table can be built two independent ways: definitionally, by bucketing one
+corner-growth sweep by that difference, or by a three-term row recurrence whose
+correction terms are the same buckets restricted to equal adjacent columns.
 Comparing the two routes entrywise is the point of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from ._memo import Memo, MemoMap
-from .counting import _hook_count, syt_count_hlf
+from .counting import syt_count_hlf
 from .report import VerificationReport, run_check, timed_report
-from .shapes import ColumnShape, _families, r3_shape
+from .shapes import ColumnShape, r3_shape
 
 DEFINITIONAL = "definitional"
 RECURRENCE = "recurrence"
@@ -61,32 +61,79 @@ def ballot_entry(j: int, k: int) -> int:
     return alpha(2 * j - k, j - k)
 
 
+# --- the corner-growth sweep ---------------------------------------------------------
+# A shape with at most s columns is packed into one integer of 16-bit digits, lowest
+# first: c1 - c2, ..., c_(s-1) - c_s, c_s. Digit 1 is the table index i (c2 for s = 2),
+# and a cell can go on column k + 1 > 1 only while digit k - 1, c_k - c_(k+1), is > 0.
+_FIELD = 16
+_DIGIT = (1 << _FIELD) - 1
+
+
+def _next_level(frontier: dict[int, int], s: int, n: int) -> tuple[dict[int, int], tuple]:
+    """Grow the packed shapes on n cells, mapped to their fillings, into those on n + 1
+    cells, and bucket level n on the way into min(s, n + 1) table rows, row j >= 1
+    restricted to c_j = c_(j+1): to the shapes whose column j + 1 is blocked."""
+    if n + 1 > _DIGIT:  # no digit of a shape on n + 1 cells exceeds n + 1
+        raise OverflowError(f"the sweep's {_FIELD}-bit digits stop at {_DIGIT} cells")
+    rows = [[0] * (n // 2 + 1) for _ in range(min(s, n + 1))]
+    # per column k + 1 in 2..n+1: the digit it needs nonzero, the key change, the row
+    moves = [(_FIELD * (k - 1), (1 << _FIELD * k) - (1 << _FIELD * (k - 1)), rows[k])
+             for k in range(1, len(rows))]
+    row, grown = rows[0], {}
+    get = grown.get
+    for key, count in frontier.items():
+        i = key >> _FIELD & _DIGIT
+        row[i] += count
+        grown[key + 1] = get(key + 1, 0) + count
+        for shift, move, blocked in moves:
+            if key >> shift & _DIGIT:
+                grown[key + move] = get(key + move, 0) + count
+            else:
+                blocked[i] += count
+    return grown, tuple(map(tuple, rows))
+
+
+@MemoMap
+def _sweep(s: int) -> Memo:
+    frontier: dict[int, int] = {}  # only the next level's shapes
+
+    def step(levels: list[tuple]) -> tuple:
+        nonlocal frontier  # a first step (also after clear()) starts afresh
+        frontier, level = _next_level(frontier if levels else {0: 1}, s, len(levels))
+        return level
+
+    return Memo([], step)
+
+
 # --- definitional entries and correction terms -------------------------------
 
-def _check_indices(s: int, n: int, i: int) -> None:
+def _check_indices(s: int, n: int, i: int, j: int = 1) -> None:
+    if not s.__class__ is n.__class__ is i.__class__ is j.__class__ is int:  # no bool
+        raise TypeError("table indices (s, n, i and j) must be integers")
     if s < 3:
         raise ValueError("width bound must be at least 3 (use alpha for s = 2)")
     if n < 0 or i < 0:
         raise ValueError("need n >= 0 and i >= 0")
 
 
-@cache
+# typed: 3.0 == 3, so an untyped cache would answer a float from an int's entry
+@lru_cache(maxsize=None, typed=True)
 def gamma_def(s: int, n: int, i: int) -> int:
-    """Entry (n, i) of the width-s table, by hook-length sums over its c2 - c3 bucket."""
+    """Entry (n, i) of the width-s table: the fillings of the shapes on n cells with
+    c2 - c3 = i, read off level n of the width-s corner-growth sweep."""
     _check_indices(s, n, i)
-    return sum(map(_hook_count, _families(n, s).get(i, ())))
+    return row[i] if i < len(row := _sweep[s][n][0]) else 0
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def correction_r(s: int, j: int, n: int, i: int) -> int:
-    """Hook-length sum over the (n, i) family restricted to shapes whose j-th
-    and (j+1)-th columns have the same length (missing columns count as 0)."""
-    _check_indices(s, n, i)
+    """Entry (n, i) restricted to shapes whose j-th and (j+1)-th columns have the
+    same length (missing columns count as 0), read off the same sweep level."""
+    _check_indices(s, n, i, j)
     if not 1 <= j <= s - 1:
         raise ValueError(f"need 1 <= j <= s-1, got j={j}")
-    zeros = (0,) * s
-    return sum(_hook_count(cols) for cols in _families(n, s).get(i, ())
-               if (padded := cols + zeros)[j - 1] == padded[j])
+    # no shape on n cells reaches column n + 1, so all have c_j = c_(j+1) = 0 for j > n
+    return row[i] if i < len(row := _sweep[s][n][j if j <= n else 0]) else 0
 
 
 def correction_r3(n: int, i: int) -> int:
@@ -173,9 +220,7 @@ def gamma_rec(s: int, n: int, i: int) -> int:
     recurrence with all out-of-range entries read as 0.
     """
     _check_indices(s, n, i)
-    if i > n // 2:
-        return 0
-    return _rec_rows[s][n][i]
+    return _rec_rows[s][n][i] if i <= n // 2 else 0
 
 
 @dataclass
@@ -212,12 +257,12 @@ def _two_column_def(n: int, i: int) -> int:
 def _table_row(s: int, n: int, method: str) -> list[int]:
     """Row n of the width-s table, s >= 2, built by `method`.
 
-    Width 2 is the two-column triangle: hook counts of the shapes (n-i, i)
-    definitionally, the two-term recurrence otherwise. The list is a copy.
+    Width 2 is the two-column triangle (hook counts of the shapes (n-i, i), or its
+    two-term recurrence); wider definitional rows are sweep levels. The list is a copy.
     """
     if method == DEFINITIONAL:
-        entry = _two_column_def if s == 2 else lambda n, i: gamma_def(s, n, i)
-        return [entry(n, i) for i in range(n // 2 + 1)]
+        return ([_two_column_def(n, i) for i in range(n // 2 + 1)] if s == 2
+                else list(_sweep[s][n][0]))
     if method == RECURRENCE:
         return list((_alpha_rows if s == 2 else _rec_rows[s])[n])
     raise ValueError(f"unknown method {method!r}")

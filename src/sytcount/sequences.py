@@ -18,8 +18,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from ._memo import Memo, MemoMap
-from .gamma import (DEFINITIONAL, RECURRENCE, TABLE_METHODS, _table_row, gamma_def,
-                    row_correction_terms)
+from .gamma import (DEFINITIONAL, RECURRENCE, TABLE_METHODS, _sweep, _table_row,
+                    gamma_def, row_correction_terms)
 
 TAU_METHODS = ("definition", "recurrence", "closed")
 
@@ -91,43 +91,20 @@ def involutions(n: int) -> int:
 # --- totals -------------------------------------------------------------------
 
 def _check_totals_args(s: int, n: int) -> None:
+    if not s.__class__ is n.__class__ is int:  # no float or bool, whatever is cached
+        raise TypeError(f"width and cell count must be integers, got {(s, n)!r}")
     if s < 2:
         raise ValueError("width bound must be at least 2")
     if n < 0:
         raise ValueError("cell count must be >= 0")
 
 
-@MemoMap
-def _growth_states(s: int) -> Memo:
-    frontier: dict[tuple[int, ...], int] = {}
-
-    def step(totals: list[int]) -> int:
-        # Keep only the current level; a first step (also after clear()) starts afresh.
-        nonlocal frontier
-        if len(totals) == 1:
-            frontier = {(0,) * s: 1}
-        level: dict[tuple[int, ...], int] = {}
-        get = level.get
-        for cols, count in frontier.items():
-            for k in range(s):
-                if k == 0 or cols[k - 1] > cols[k]:
-                    grown = cols[:k] + (cols[k] + 1,) + cols[k + 1:]
-                    level[grown] = get(grown, 0) + count
-        frontier = level
-        return sum(level.values())
-
-    return Memo([1], step)
-
-
 def tau_growth(s: int, n: int) -> int:
-    """Total tableau count by a level-by-level corner-growth sweep.
-
-    Carries the full shape -> count map from one cell count to the next, so
-    consecutive totals for one s cost a single dictionary pass each. The
-    verification suites check it against the definitional and series routes.
-    """
+    """Total tableau count: level n of the width-s corner-growth sweep that gives the
+    definitional rows and correction terms, summed. `verify` checks it against
+    Frobenius totals and the series route."""
     _check_totals_args(s, n)
-    return _growth_states[s][n]
+    return sum(_sweep[s][n][0])
 
 
 # --- totals by Gessel's Bessel determinant --------------------------------------
@@ -226,7 +203,7 @@ def tau(s: int, n: int, method: str = "definition") -> int:
         s: width bound, at least 2.
         n: cell count, at least 0.
         method: "definition" (row sum of the definitional table: hook counts
-            of the two-column shapes for s=2, family hook sums otherwise),
+            of the two-column shapes for s=2, the `tau_growth` sweep otherwise),
             "recurrence" (row sum of the recurrence table, once the totals
             recurrence has been verified on every step up to n), or
             "closed" (central binomial for s=2, Motzkin for s=3).

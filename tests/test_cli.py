@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import sytcount
+import sytcount.gamma as gamma
+import sytcount.sequences as seq
 from sytcount import verify
 from sytcount.cli import run
 from sytcount.report import CheckResult, VerificationReport
@@ -295,3 +297,33 @@ def test_oracle_catches_a_dropped_filling(monkeypatch):
     assert len(dropped) == 1
     assert not triple.passed and triple.checked > 0
     assert triple.counterexample.startswith(f"counts disagree on {dropped[0]}: ")
+
+
+@pytest.fixture
+def fresh_sweeps():
+    """Cold sweeps, table entries and totals before the test, and again after it."""
+    def clear():
+        for cached in (gamma.gamma_def, gamma.correction_r, seq._tau_definition):
+            cached.cache_clear()
+        for memos in (gamma._sweep, gamma._rec_rows, seq._steps_checked):
+            memos.clear()
+    clear()
+    yield
+    clear()
+
+
+def test_verify_catches_a_sweep_count_off_by_one(fresh_sweeps, monkeypatch):
+    next_level = gamma._next_level
+
+    def off_by_one(frontier, s, n):
+        grown, level = next_level(frontier, s, n)
+        if (s, n) == (4, 8):
+            level = ((level[0][0] + 1, *level[0][1:]), *level[1:])
+        return grown, level
+    monkeypatch.setattr(gamma, "_next_level", off_by_one)
+    # the routes that do not read the sweep: validated shapes and Frobenius totals
+    for suite, independent in (("gammaS", "recurrence-identity-s4"),
+                               ("tau", "tau-growth-agreement")):
+        checks = {c.name: c for c in run_suite(suite, max_cells=12).checks}
+        assert not checks[independent].passed, suite
+        assert "n=8" in checks[independent].counterexample

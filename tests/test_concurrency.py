@@ -10,7 +10,8 @@ from math import comb, factorial
 
 import sytcount
 from sytcount._memo import Memo, MemoMap
-from sytcount.gamma import gamma_def, gamma_rec
+import sytcount.gamma as gamma
+from sytcount.gamma import correction_r, gamma_def, gamma_rec
 from sytcount.sequences import tau, tau_growth, tau_series
 
 THREADS = 4
@@ -111,3 +112,46 @@ def test_memo_map_makes_each_width_once_under_threads():
     assert sorted(made) == [3, 5, 7] and sorted(memos) == [3, 5, 7]
     expected = [(id(memos[s]), s + 200) for s in (7, 3, 7, 5)]
     assert results == [expected] * THREADS
+
+
+def test_threads_on_one_cold_width_step_each_sweep_level_once(monkeypatch):
+    width = 6
+    calls = [lambda: gamma_def(width, 30, 3), lambda: correction_r(width, 1, 29, 4),
+             lambda: correction_r(width, 4, 30, 2), lambda: tau_growth(width, 30),
+             lambda: gamma_def(width, 12, 0), lambda: correction_r(width, 5, 20, 0)]
+
+    def cold():
+        gamma_def.cache_clear()
+        correction_r.cache_clear()
+        gamma._sweep.pop(width, None)
+
+    cold()
+    serial = [call() for call in calls]
+    steps, next_level = [], gamma._next_level
+
+    def counting_levels(frontier, s, n):
+        steps.append((s, n))
+        return next_level(frontier, s, n)
+
+    monkeypatch.setattr(gamma, "_next_level", counting_levels)
+    cold()
+    results = [None] * 8
+
+    def ask(t):  # each thread starts at a different call
+        order = [(t + k) % len(calls) for k in range(len(calls))]
+        got = {k: calls[k]() for k in order}
+        results[t] = [got[k] for k in range(len(calls))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(t,)) for t in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * len(results)
+    assert steps == [(width, n) for n in range(31)]

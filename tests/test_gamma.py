@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import sytcount.counting as counting
 import sytcount.gamma as gamma
 import sytcount.shapes as shapes
 from sytcount.cli import run
@@ -12,8 +13,7 @@ from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
                             correction_r3, entry_corrections, gamma_def,
                             gamma_rec, row_correction_terms, seed_rows)
 from sytcount.sequences import catalan, tau
-from sytcount.shapes import (ColumnShape, ShapeFamilyQuery, enumerate_family,
-                             partitions_at_most)
+from sytcount.shapes import ColumnShape, ShapeFamilyQuery, enumerate_family
 
 
 # --- two-column triangle ----------------------------------------------------
@@ -231,31 +231,35 @@ def test_float_indices_raise_a_type_error():
         correction_r(4, 1.5, 7, 0)
 
 
-def test_cold_table_builds_scan_each_row_once(monkeypatch):
-    reads, scans = [], []  # the hook counts the bucket sums read, the rows bucketed
+def test_the_sweep_refuses_a_level_its_digits_cannot_hold():
+    with pytest.raises(OverflowError):
+        gamma._next_level({}, 3, gamma._DIGIT)
+    assert gamma._next_level({}, 3, gamma._DIGIT - 1)[0] == {}
 
-    def counting_hooks(cols):
-        reads.append(cols)
-        return hook_count(cols)
 
-    def counting_partitions(cells, width):
-        scans.append((cells, width))
-        return partitions_at_most(cells, width)
+def _cache_reads(cached):
+    info = cached.cache_info()
+    return info.hits + info.misses
 
-    hook_count = gamma._hook_count
-    monkeypatch.setattr(gamma, "_hook_count", counting_hooks)
-    monkeypatch.setattr(shapes, "partitions_at_most", counting_partitions)
 
-    def cold_yields(method):
-        for cached in (gamma.gamma_def, gamma.correction_r, shapes._families):
+def test_cold_table_builds_read_no_hook_count_and_step_each_level_once(monkeypatch):
+    steps = []  # the (width, level) of every sweep step
+
+    def counting_levels(frontier, s, n):
+        steps.append((s, n))
+        return next_level(frontier, s, n)
+
+    next_level = gamma._next_level
+    monkeypatch.setattr(gamma, "_next_level", counting_levels)
+    frobenius_route = (counting._hook_count, shapes._families, shapes.partitions_at_most)
+    # the recurrence reads corrections of rows 0..29 only
+    for method, levels in ((DEFINITIONAL, 31), (RECURRENCE, 30)):
+        for cached in (gamma.gamma_def, gamma.correction_r):
             cached.cache_clear()
+        gamma._sweep.clear()
         gamma._rec_rows.clear()
-        reads.clear()
-        scans.clear()
+        steps.clear()
+        before = list(map(_cache_reads, frobenius_route))
         build_table(6, 30, method)
-        assert len(scans) == len(set(scans))  # each row is bucketed once
-        return len(reads)
-
-    total = sum(len(partitions_at_most(n, 6)) for n in range(31))
-    assert cold_yields("definitional") == total
-    assert cold_yields("recurrence") <= 5 * total
+        assert list(map(_cache_reads, frobenius_route)) == before
+        assert steps == [(6, n) for n in range(levels)]

@@ -91,7 +91,7 @@ def test_tau_growth_agrees_with_definition():
 
 def test_cleared_growth_memo_rebuilds_from_the_empty_shape():
     tau_growth(4, len(TAU4_PREFIX) + 5)
-    seq._growth_states[4].clear()
+    gamma._sweep[4].clear()
     assert tau_growth(4, len(TAU4_PREFIX) - 1) == TAU4_PREFIX[-1]
     assert [tau_growth(4, n) for n in range(len(TAU4_PREFIX))] == TAU4_PREFIX
 
@@ -255,22 +255,51 @@ def test_two_column_recurrence_total_is_certified_by_the_step(wrong_two_column_r
 
 
 def test_wide_recurrence_total_builds_only_its_own_width():
-    for memos in (seq._steps_checked, gamma._rec_rows, seq._growth_states):
+    for memos in (seq._steps_checked, gamma._rec_rows, gamma._sweep):
         memos.clear()
     assert tau(3000, 2, "recurrence") == 2
     assert tau_growth(3000, 3) == 4
     assert list(seq._steps_checked) == list(gamma._rec_rows) == [3000]
-    assert list(seq._growth_states) == [3000]
+    assert list(gamma._sweep) == [3000]
 
 
 def test_a_cold_float_width_raises_and_leaves_the_width_memo_alone():
-    for memos in (seq._growth_states, seq._series_states, gamma._rec_rows):
+    for memos in (gamma._sweep, seq._series_states, gamma._rec_rows):
         memos.clear()
     for call in (tau_growth, tau_series, lambda s, n: gamma.gamma_rec(s + 1, n, 1)):
         with pytest.raises(TypeError):
             call(3.0, 6)
     assert tau_growth(3, 6) == tau_series(3, 6) == 51
     assert gamma.gamma_rec(4, 6, 1) == gamma.gamma_def(4, 6, 1)
+
+
+# Each call with integer arguments; 0 and 1 also have bool spellings.
+INTEGER_CALLS = [(tau, (3, 6)), (tau, (3, 1)), (tau_growth, (3, 6)), (tau_growth, (3, 1)),
+                 (tau_series, (3, 6)), (tau_series, (3, 1)),
+                 (gamma.gamma_def, (3, 6, 1)), (gamma.gamma_def, (3, 1, 0)),
+                 (gamma.gamma_rec, (4, 6, 1)), (gamma.gamma_rec, (4, 1, 0)),
+                 (gamma.correction_r, (4, 1, 6, 1)), (gamma.correction_r, (4, 1, 1, 0))]
+
+
+def _non_integer_spellings(args):
+    for position, value in enumerate(args):
+        for spelling in (float(value), *([bool(value)] if value in (0, 1) else [])):
+            yield args[:position] + (spelling,) + args[position + 1:]
+
+
+def test_non_integer_arguments_raise_a_type_error_cold_and_warm():
+    for cached in (gamma.gamma_def, gamma.correction_r, seq._tau_definition):
+        cached.cache_clear()
+    for memos in (gamma._sweep, gamma._rec_rows, seq._steps_checked):
+        memos.clear()
+    for warm in (False, True):
+        for call, args in INTEGER_CALLS:
+            if warm:
+                call(*args)
+            for spelled in _non_integer_spellings(args):
+                with pytest.raises(TypeError):
+                    call(*spelled)
+                    pytest.fail(f"{call.__name__}{spelled!r} answered (warm={warm})")
 
 
 def test_correction_aggregate_values():
