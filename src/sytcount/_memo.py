@@ -22,6 +22,8 @@ class Memo:
         self._terms = list(seed)
 
     def __getitem__(self, n: int):
+        if n.__class__ is not int:  # True == 1: a bool must not read term 1
+            raise TypeError(f"memo indices are integers, not {n!r}")
         terms = self._terms
         if 0 <= n < len(terms):
             return terms[n]

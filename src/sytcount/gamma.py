@@ -47,6 +47,8 @@ def alpha(n: int, i: int) -> int:
     alpha(n, i) = alpha(n-1, i) + alpha(n-1, i-1) with alpha(n, 0) = 1;
     positions with i > n // 2 hold no shape and return 0.
     """
+    if not n.__class__ is i.__class__ is int:  # no float or bool
+        raise TypeError(f"alpha needs integers, got {(n, i)!r}")
     if n < 0 or i < 0:
         raise ValueError("alpha needs n >= 0 and i >= 0")
     if i > n // 2:
@@ -270,6 +272,8 @@ def _table_row(s: int, n: int, method: str) -> list[int]:
 
 def build_table(s: int, max_n: int, method: str = DEFINITIONAL) -> GammaTable:
     """Materialize the width-s table for rows 0..max_n by the chosen route."""
+    if not s.__class__ is max_n.__class__ is int:  # 3.0 would read width 3's rows
+        raise TypeError(f"width and row count must be integers, got {(s, max_n)!r}")
     if s < 2:
         raise ValueError("width bound must be at least 2")
     if max_n < 0:

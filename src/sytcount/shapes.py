@@ -9,7 +9,7 @@ that columns beyond the width have length 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -92,10 +92,13 @@ class ShapeFamilyQuery:
             raise ValueError("equal_pair must be >= 1")
 
 
-@cache
+# typed: 6.0 == 6, so an untyped cache would answer a float from an int's entry
+@lru_cache(maxsize=None, typed=True)
 def partitions_at_most(cells: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Weakly decreasing positive tuples with at most `width` parts summing to
     `cells`, in lexicographically decreasing order."""
+    if not cells.__class__ is width.__class__ is int:  # no float or bool
+        raise TypeError(f"cells and width must be integers, got {(cells, width)!r}")
     if cells < 0 or width < 1:
         raise ValueError("need cells >= 0 and width >= 1")
     out: list[tuple[int, ...]] = []
@@ -120,26 +123,13 @@ def _column(cols: tuple[int, ...], j: int) -> int:
     return cols[j - 1] if j <= len(cols) else 0
 
 
-@cache
-def _families(cells: int, width: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """`partitions_at_most(cells, width)` bucketed by c2 - c3 in one pass, each
-    bucket in the same order. Buckets hold the plain column tuples."""
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for cols in partitions_at_most(cells, width):
-        padded = cols + (0, 0, 0)
-        buckets.setdefault(padded[1] - padded[2], []).append(cols)
-    return {diff: tuple(bucket) for diff, bucket in buckets.items()}
-
-
 def enumerate_family(query: ShapeFamilyQuery) -> Iterator[ColumnShape]:
     """Yield every shape matching `query` exactly once, in lexicographically
     decreasing column-list order."""
-    diff = query.second_third_diff
-    pair = query.equal_pair
-    family = (partitions_at_most(query.cells, query.max_width) if diff is None
-              else _families(query.cells, query.max_width).get(diff, ()))
-    for cols in family:
-        if pair is None or _column(cols, pair) == _column(cols, pair + 1):
+    diff, pair = query.second_third_diff, query.equal_pair
+    for cols in partitions_at_most(query.cells, query.max_width):
+        if ((diff is None or _column(cols, 2) - _column(cols, 3) == diff)
+                and (pair is None or _column(cols, pair) == _column(cols, pair + 1))):
             yield ColumnShape(cols)
 
 

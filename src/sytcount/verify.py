@@ -7,9 +7,10 @@ from __future__ import annotations
 import inspect
 from collections import Counter
 from fractions import Fraction
-from itertools import pairwise
+from functools import partial
+from itertools import pairwise, product
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .counting import (DEFAULT_ENUMERATION_CAP, _hook_count, syt_count_hlf,
                        syt_count_hook_product, syt_count_recursive, tableau_walk)
@@ -21,6 +22,15 @@ from .sequences import (RecurrenceMismatchError, catalan, central_binomial,
                         tau, tau_growth, tau_recurrence_step, tau_series)
 from .shapes import (ColumnShape, ShapeFamilyQuery, conjugate, enumerate_family,
                      partitions_at_most)
+
+
+def _agree(name: str, scope: str, points: Iterable[tuple], routes: list[Callable],
+           text: str) -> CheckResult:
+    """One case per point, an argument tuple: it passes when every route gives the same
+    value there, and `text.format(*point)` describes it."""
+    cases = ((text.format(*point), len({route(*point) for route in routes}) == 1)
+             for point in points)
+    return run_check(name, scope, cases)
 
 
 # --- two-column triangle -------------------------------------------------------
@@ -38,24 +48,18 @@ def suite_alpha(max_n: int = 40, catalan_n: int = 30) -> Iterator[CheckResult]:
                 yield f"alpha({n},{i}) != 0", alpha(n, i) == 0
     yield run_check("alpha-initial-conditions", f"n<={max_n}", cases())
 
-    def cases():
-        for n in range(max_n + 1):
-            for i in range(n // 2 + 1):
-                yield (f"alpha({n},{i}) != hook count",
-                       alpha(n, i) == _two_column_def(n, i))
-    yield run_check("alpha-hook-agreement", f"n<={max_n}", cases())
+    yield _agree("alpha-hook-agreement", f"n<={max_n}",
+                 ((n, i) for n in range(max_n + 1) for i in range(n // 2 + 1)),
+                 [alpha, _two_column_def], "alpha({},{}) != hook count")
 
-    def cases():
-        for n in range(1, max_n + 1):
-            for i in range(1, n // 2 + 1):
-                total = sum(alpha(h, i - 1) for h in range(2 * i - 1, n))
-                yield f"columnwise sum fails at ({n},{i})", alpha(n, i) == total
-    yield run_check("alpha-columnwise-sum", f"1<=i<=n//2, n<={max_n}", cases())
+    yield _agree("alpha-columnwise-sum", f"1<=i<=n//2, n<={max_n}",
+                 ((n, i) for n in range(1, max_n + 1) for i in range(1, n // 2 + 1)),
+                 [alpha, lambda n, i: sum(alpha(h, i - 1) for h in range(2 * i - 1, n))],
+                 "columnwise sum fails at ({},{})")
 
-    def cases():
-        for k in range(catalan_n + 1):
-            yield f"alpha({2 * k},{k}) != catalan({k})", alpha(2 * k, k) == catalan(k)
-    yield run_check("alpha-catalan-diagonal", f"k<={catalan_n}", cases())
+    yield _agree("alpha-catalan-diagonal", f"k<={catalan_n}",
+                 ((2 * k, k) for k in range(catalan_n + 1)),
+                 [alpha, lambda n, k: catalan(k)], "alpha({0},{1}) != catalan({1})")
 
     def cases():
         for j in range(catalan_n + 1):
@@ -71,9 +75,10 @@ def _recurrence_identity_check(s: int, max_n: int) -> CheckResult:
     """The row recurrence applied to the definitional previous row, so the recurrence
     itself is what gets tested; those rows are validated-shape sums, and match gamma_def."""
     def row(n):
-        return [sum(syt_count_hlf(shape) for shape in enumerate_family(
-                    ShapeFamilyQuery(cells=n, max_width=s, second_third_diff=i)))
-                for i in range(n // 2 + 1)]
+        entries = [0] * (n // 2 + 1)
+        for shape in enumerate_family(ShapeFamilyQuery(cells=n, max_width=s)):
+            entries[shape.column(2) - shape.column(3)] += syt_count_hlf(shape)
+        return entries
     def cases():
         for n, (prev_row, here) in enumerate(pairwise(map(row, range(max_n + 1))), 1):
             for i, value in enumerate(here):
@@ -92,20 +97,15 @@ def suite_gamma3(max_n: int = 40, r3_cross_n: int = 30) -> Iterator[CheckResult]
     yield from compare_methods(3, max_n).checks
     yield _recurrence_identity_check(3, max_n)
 
-    def cases():
-        for n in range(1, r3_cross_n + 1):
-            for i in range(1, n // 2 + 1):
-                generic = correction_r(3, 1, n - 1, i - 1)
-                yield (f"correction mismatch at n={n}, i={i}",
-                       correction_r3(n, i) == generic)
-    yield run_check("r3-equals-generic-correction", f"n<={r3_cross_n}", cases())
+    yield _agree("r3-equals-generic-correction", f"n<={r3_cross_n}",
+                 ((n, i) for n in range(1, r3_cross_n + 1) for i in range(1, n // 2 + 1)),
+                 [correction_r3, lambda n, i: correction_r(3, 1, n - 1, i - 1)],
+                 "correction mismatch at n={}, i={}")
 
     bound = min(25, max_n)
-    def cases():
-        for n in range(bound + 1):
-            row = sum(gamma_def(3, n, i) for i in range(n // 2 + 1))
-            yield f"row sum at n={n} is not motzkin({n})", row == motzkin(n)
-    yield run_check("gamma3-motzkin-row-sums", f"n<={bound}", cases())
+    yield _agree("gamma3-motzkin-row-sums", f"n<={bound}", product(range(bound + 1)),
+                 [lambda n: sum(gamma_def(3, n, i) for i in range(n // 2 + 1)), motzkin],
+                 "row sum at n={0} is not motzkin({0})")
 
 
 def suite_gammas(max_n: int = 25) -> Iterator[CheckResult]:
@@ -133,21 +133,15 @@ def _step_check(s: int, n_lo: int, n_hi: int) -> CheckResult:
 def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> Iterator[CheckResult]:
     """Totals by every route agree with each other and with the reference
     sequences, and the step-by-step recurrence breakdown holds exactly."""
-    def cases():
-        for n in range(max2 + 1):
-            by_def = tau(2, n, "definition")
-            ok = (by_def == tau(2, n, "recurrence") == tau(2, n, "closed")
-                  == central_binomial(n))
-            yield f"tau_2({n}) routes disagree", ok
-    yield run_check("tau2-three-methods", f"n<={max2}", cases())
+    by_def, by_rec, closed = (partial(tau, method=method)
+                              for method in ("definition", "recurrence", "closed"))
+    yield _agree("tau2-three-methods", f"n<={max2}", product([2], range(max2 + 1)),
+                 [by_def, by_rec, closed, lambda s, n: central_binomial(n)],
+                 "tau_{}({}) routes disagree")
     yield _step_check(2, 1, max2)
 
-    def cases():
-        for n in range(max3 + 1):
-            by_def = tau(3, n, "definition")
-            ok = by_def == tau(3, n, "recurrence") == motzkin(n)
-            yield f"tau_3({n}) routes disagree", ok
-    yield run_check("tau3-motzkin", f"n<={max3}", cases())
+    yield _agree("tau3-motzkin", f"n<={max3}", product([3], range(max3 + 1)),
+                 [by_def, by_rec, lambda s, n: motzkin(n)], "tau_{}({}) routes disagree")
     if max3 >= 3:
         yield _step_check(3, 3, max3)
     else:
@@ -163,12 +157,9 @@ def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> Iterator[Check
             yield f"anchor at n={n}: {got} != {expected}", got == expected
     yield run_check("tau3-step-anchors", "n in {4, 6}", cases())
 
-    def cases():
-        for s in (4, 5):
-            for n in range(max45 + 1):
-                yield (f"tau_{s}({n}) definition != recurrence",
-                       tau(s, n, "definition") == tau(s, n, "recurrence"))
-    yield run_check("tauS-def-vs-rec", f"s in {{4,5}}, n<={max45}", cases())
+    yield _agree("tauS-def-vs-rec", f"s in {{4,5}}, n<={max45}",
+                 product((4, 5), range(max45 + 1)), [by_def, by_rec],
+                 "tau_{}({}) definition != recurrence")
     for s in (4, 5):
         if max45 >= s:
             yield _step_check(s, s, max45)
@@ -184,12 +175,10 @@ def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> Iterator[Check
 
     # tau(s, n, "definition") reads the same sweep: match Frobenius totals instead.
     bound = min(20, max2, max3, max45)
-    def cases():
-        for s in (2, 3, 4, 5):
-            for n in range(bound + 1):
-                yield (f"growth total != definitional at s={s}, n={n}",
-                       tau_growth(s, n) == sum(map(_hook_count, partitions_at_most(n, s))))
-    yield run_check("tau-growth-agreement", f"s<=5, n<={bound}", cases())
+    yield _agree("tau-growth-agreement", f"s<=5, n<={bound}",
+                 product((2, 3, 4, 5), range(bound + 1)),
+                 [tau_growth, lambda s, n: sum(map(_hook_count, partitions_at_most(n, s)))],
+                 "growth total != definitional at s={}, n={}")
 
 
 # --- ratios ------------------------------------------------------------------------
@@ -199,10 +188,9 @@ def suite_ratio(max3: int = 200, max45: int = 120,
     """Series totals agree with the growth sweep, and the exact ratios
     tau_s(n) / tau_s(n-1) keep their bound, approach, and decomposition properties."""
     ranges = {3: max3, 4: max45, 5: max45}
-    cases = ((f"series total != growth total at s={s}, n={n}",
-              tau_series(s, n) == tau_growth(s, n))
-             for s in range(2, 8) for n in range(cross_n + 1))
-    yield run_check("ratio-totals-series-vs-growth", f"2<=s<=7, n<={cross_n}", cases)
+    yield _agree("ratio-totals-series-vs-growth", f"2<=s<=7, n<={cross_n}",
+                 product(range(2, 8), range(cross_n + 1)), [tau_series, tau_growth],
+                 "series total != growth total at s={}, n={}")
 
     def cases():
         for s, hi in ranges.items():
@@ -285,39 +273,29 @@ def suite_oracle(max_cells: int = 12, conj_cells: int = 20, ident_n: int = 10,
             for cols in partitions_at_most(n, 6):
                 shape = ColumnShape(cols)
                 hook = syt_count_hlf(shape)
-                product = syt_count_hook_product(shape)
+                product_count = syt_count_hook_product(shape)
                 removal = syt_count_recursive(shape)
                 listed = tally[cols + (0,) * (6 - len(cols))]
-                yield (f"counts disagree on {shape}: hook={hook}, product={product}, "
+                yield (f"counts disagree on {shape}: hook={hook}, product={product_count}, "
                        f"removal={removal}, listed={listed}",
-                       hook == product == removal == listed)
+                       hook == product_count == removal == listed)
     yield run_check("oracle-triple-agreement",
                     f"shapes with <={bound} cells, <=6 columns", cases())
 
-    def cases():
-        for n in range(conj_cells + 1):
-            for cols in partitions_at_most(n, max(n, 1)):
-                shape = ColumnShape(cols)
-                flipped = conjugate(shape)
-                yield (f"count changed under conjugation of {shape}",
-                       syt_count_hlf(shape) == syt_count_hlf(flipped))
-    yield run_check("conjugation-invariance", f"shapes with <={conj_cells} cells",
-                    cases())
+    yield _agree("conjugation-invariance", f"shapes with <={conj_cells} cells",
+                 ((ColumnShape(cols),) for n in range(conj_cells + 1)
+                  for cols in partitions_at_most(n, max(n, 1))),
+                 [syt_count_hlf, lambda shape: syt_count_hlf(conjugate(shape))],
+                 "count changed under conjugation of {}")
 
-    def cases():
-        for n in range(ident_n + 1):
-            total = sum(syt_count_hlf(ColumnShape(cols)) ** 2
-                        for cols in partitions_at_most(n, max(n, 1)))
-            yield f"sum of squares at n={n} is not {n}!", total == factorial(n)
-    yield run_check("square-sum-factorial", f"n<={ident_n}", cases())
-
-    def cases():
-        for n in range(ident_n + 1):
-            total = sum(syt_count_hlf(ColumnShape(cols))
-                        for cols in partitions_at_most(n, max(n, 1)))
-            yield (f"count sum at n={n} is not involutions({n})",
-                   total == involutions(n))
-    yield run_check("involution-sum", f"n<={ident_n}", cases())
+    def counts(n):  # the count of each shape on n cells
+        return [syt_count_hlf(ColumnShape(c)) for c in partitions_at_most(n, max(n, 1))]
+    yield _agree("square-sum-factorial", f"n<={ident_n}", product(range(ident_n + 1)),
+                 [lambda n: sum(c * c for c in counts(n)), factorial],
+                 "sum of squares at n={0} is not {0}!")
+    yield _agree("involution-sum", f"n<={ident_n}", product(range(ident_n + 1)),
+                 [lambda n: sum(counts(n)), involutions],
+                 "count sum at n={0} is not involutions({0})")
 
 
 # --- dispatch -----------------------------------------------------------------------

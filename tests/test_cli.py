@@ -327,3 +327,49 @@ def test_verify_catches_a_sweep_count_off_by_one(fresh_sweeps, monkeypatch):
         checks = {c.name: c for c in run_suite(suite, max_cells=12).checks}
         assert not checks[independent].passed, suite
         assert "n=8" in checks[independent].counterexample
+
+
+# (suite, check, position, route, the point where it is off by one, scope, checked,
+# counterexample) at --max-cells 12: each agreement check names the first point where
+# its routes part, and still counts every case.
+BROKEN_ROUTES = [
+    ("alpha", "alpha-hook-agreement", 1, "_two_column_def", (7, 2), "n<=12", 49,
+     "alpha(7,2) != hook count"),
+    ("alpha", "alpha-columnwise-sum", 2, "alpha", (7, 2), "1<=i<=n//2, n<=12", 36,
+     "columnwise sum fails at (7,2)"),
+    ("alpha", "alpha-catalan-diagonal", 3, "catalan", (3,), "k<=6", 7,
+     "alpha(6,3) != catalan(3)"),
+    ("gamma3", "r3-equals-generic-correction", 2, "correction_r3", (7, 2), "n<=12", 36,
+     "correction mismatch at n=7, i=2"),
+    ("gamma3", "gamma3-motzkin-row-sums", 3, "motzkin", (7,), "n<=12", 13,
+     "row sum at n=7 is not motzkin(7)"),
+    ("tau", "tau2-three-methods", 0, "central_binomial", (7,), "n<=12", 13,
+     "tau_2(7) routes disagree"),
+    ("tau", "tau3-motzkin", 2, "motzkin", (7,), "n<=12", 13, "tau_3(7) routes disagree"),
+    ("tau", "tauS-def-vs-rec", 5, "tau", (5, 7, "recurrence"), "s in {4,5}, n<=12", 26,
+     "tau_5(7) definition != recurrence"),
+    ("tau", "tau-growth-agreement", 9, "tau_growth", (4, 7), "s<=5, n<=12", 52,
+     "growth total != definitional at s=4, n=7"),
+    ("ratio", "ratio-totals-series-vs-growth", 0, "tau_series", (5, 7), "2<=s<=7, n<=12",
+     78, "series total != growth total at s=5, n=7"),
+    ("oracle", "conjugation-invariance", 1, "syt_count_hlf", (ColumnShape((3, 1)),),
+     "shapes with <=12 cells", 272, "count changed under conjugation of 3,1"),
+    ("oracle", "square-sum-factorial", 2, "factorial", (7,), "n<=10", 11,
+     "sum of squares at n=7 is not 7!"),
+    ("oracle", "involution-sum", 3, "involutions", (7,), "n<=10", 11,
+     "count sum at n=7 is not involutions(7)"),
+]
+
+
+@pytest.mark.parametrize("suite, name, position, route, point, scope, checked, text",
+                         BROKEN_ROUTES, ids=[case[1] for case in BROKEN_ROUTES])
+def test_agreement_checks_report_the_first_point_where_routes_part(
+        monkeypatch, suite, name, position, route, point, scope, checked, text):
+    real = getattr(verify, route)
+
+    def off_by_one(*args, **kwargs):
+        return real(*args, **kwargs) + ((*args, *kwargs.values()) == point)
+    monkeypatch.setattr(verify, route, off_by_one)
+    record = run_suite(suite, max_cells=12).checks[position]
+    assert record == CheckResult(name=name, scope=scope, passed=False, checked=checked,
+                                 counterexample=text)

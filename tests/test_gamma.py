@@ -251,7 +251,7 @@ def test_cold_table_builds_read_no_hook_count_and_step_each_level_once(monkeypat
 
     next_level = gamma._next_level
     monkeypatch.setattr(gamma, "_next_level", counting_levels)
-    frobenius_route = (counting._hook_count, shapes._families, shapes.partitions_at_most)
+    frobenius_route = (counting._hook_count, shapes.partitions_at_most)
     # the recurrence reads corrections of rows 0..29 only
     for method, levels in ((DEFINITIONAL, 31), (RECURRENCE, 30)):
         for cached in (gamma.gamma_def, gamma.correction_r):

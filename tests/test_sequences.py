@@ -12,6 +12,7 @@ from sytcount.sequences import (RatioParts, RecurrenceMismatchError,
                                 parity_indicator, ratio, ratio_decomposition,
                                 ratio_table, tau, tau_growth,
                                 tau_recurrence_step, tau_series)
+from sytcount.shapes import partitions_at_most
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 MOTZKIN_PREFIX = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
@@ -278,7 +279,10 @@ INTEGER_CALLS = [(tau, (3, 6)), (tau, (3, 1)), (tau_growth, (3, 6)), (tau_growth
                  (tau_series, (3, 6)), (tau_series, (3, 1)),
                  (gamma.gamma_def, (3, 6, 1)), (gamma.gamma_def, (3, 1, 0)),
                  (gamma.gamma_rec, (4, 6, 1)), (gamma.gamma_rec, (4, 1, 0)),
-                 (gamma.correction_r, (4, 1, 6, 1)), (gamma.correction_r, (4, 1, 1, 0))]
+                 (gamma.correction_r, (4, 1, 6, 1)), (gamma.correction_r, (4, 1, 1, 0)),
+                 (gamma.build_table, (3, 4)), (gamma.build_table, (2, 4)),
+                 (partitions_at_most, (6, 3)), (gamma.alpha, (4, 1)),
+                 (catalan, (1,)), (motzkin, (1,)), (involutions, (1,))]
 
 
 def _non_integer_spellings(args):
@@ -288,9 +292,11 @@ def _non_integer_spellings(args):
 
 
 def test_non_integer_arguments_raise_a_type_error_cold_and_warm():
-    for cached in (gamma.gamma_def, gamma.correction_r, seq._tau_definition):
+    for cached in (gamma.gamma_def, gamma.correction_r, seq._tau_definition,
+                   partitions_at_most):
         cached.cache_clear()
-    for memos in (gamma._sweep, gamma._rec_rows, seq._steps_checked):
+    for memos in (gamma._sweep, gamma._rec_rows, seq._steps_checked, gamma._alpha_rows,
+                  seq._catalans, seq._motzkins, seq._involutions):
         memos.clear()
     for warm in (False, True):
         for call, args in INTEGER_CALLS:
