@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p_verify.add_argument("--max-cells", type=int, metavar="N",
-                          help="clip suite ranges to this cell count")
+                          help="ranges become N; capped ranges stay at most their default")
     p_verify.add_argument("--oracle-cap", type=int, metavar="CELLS")
     p_verify.add_argument("--format", choices=("csv", "json"), default="json")
     p_verify.add_argument("--out", metavar="FILE")

@@ -58,6 +58,8 @@ def alpha(n: int, i: int) -> int:
 
 def ballot_entry(j: int, k: int) -> int:
     """Ballot-triangle entry, read off the two-column triangle as (2j-k, j-k)."""
+    if not j.__class__ is k.__class__ is int:  # 2j-k would turn a bool into an int
+        raise TypeError(f"ballot indices must be integers, got {(j, k)!r}")
     if 2 * j - k < 0 or j - k < 0:
         raise ValueError(f"ballot indices need 2j-k >= 0 and j-k >= 0, got {(j, k)!r}")
     return alpha(2 * j - k, j - k)

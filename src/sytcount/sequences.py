@@ -75,6 +75,8 @@ def motzkin(n: int) -> int:
 
 def central_binomial(n: int) -> int:
     """Middle binomial coefficient C(n, n // 2)."""
+    if n.__class__ is not int:  # comb accepts True as 1
+        raise TypeError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     return comb(n, n // 2)

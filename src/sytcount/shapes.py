@@ -141,6 +141,8 @@ def r3_shape(n: int, i: int) -> ColumnShape | None:
     list is weakly decreasing with positive parts; it then has column lengths
     (a, a, b) with a = (n+i-2)/3 and b = (n-2i+1)/3.
     """
+    if not n.__class__ is i.__class__ is int:  # no float or bool
+        raise TypeError(f"n and i must be integers, got {(n, i)!r}")
     if n < 1 or i < 0 or i > n // 2:
         raise ValueError(f"need n >= 1 and 0 <= i <= n//2, got {(n, i)!r}")
     if (n - 2 * i) % 3 != 2:

@@ -4,7 +4,6 @@ reports."""
 
 from __future__ import annotations
 
-import inspect
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -24,6 +23,14 @@ from .shapes import (ColumnShape, ShapeFamilyQuery, conjugate, enumerate_family,
                      partitions_at_most)
 
 
+def _range(max_cells: int | None, default: int, divisor: int = 0) -> int:
+    """A suite range: `default` when `max_cells` is None, else `max_cells` itself, or
+    `min(default, max_cells // divisor)` for a range capped by a divisor."""
+    if max_cells is None:
+        return default
+    return min(default, max_cells // divisor) if divisor else max_cells
+
+
 def _agree(name: str, scope: str, points: Iterable[tuple], routes: list[Callable],
            text: str) -> CheckResult:
     """One case per point, an argument tuple: it passes when every route gives the same
@@ -35,9 +42,10 @@ def _agree(name: str, scope: str, points: Iterable[tuple], routes: list[Callable
 
 # --- two-column triangle -------------------------------------------------------
 
-def suite_alpha(max_n: int = 40, catalan_n: int = 30) -> Iterator[CheckResult]:
+def suite_alpha(max_cells: int | None = None) -> Iterator[CheckResult]:
     """Initial conditions, definitional agreement, columnwise sums, and the
     Catalan diagonal of the two-column triangle."""
+    max_n, catalan_n = _range(max_cells, 40), _range(max_cells, 30, 2)  # 2k cells at k
     def cases():
         for n in range(max_n + 1):
             yield f"alpha({n},0) != 1", alpha(n, 0) == 1
@@ -90,10 +98,11 @@ def _recurrence_identity_check(s: int, max_n: int) -> CheckResult:
     return run_check(f"recurrence-identity-s{s}", f"1<=n<={max_n}", cases())
 
 
-def suite_gamma3(max_n: int = 40, r3_cross_n: int = 30) -> Iterator[CheckResult]:
+def suite_gamma3(max_cells: int | None = None) -> Iterator[CheckResult]:
     """The width-3 table: both build routes agree, the recurrence holds on
     definitional values, the one-shape correction matches the generic family,
     and row sums are Motzkin numbers."""
+    max_n, r3_cross_n = _range(max_cells, 40), _range(max_cells, 30, 1)
     yield from compare_methods(3, max_n).checks
     yield _recurrence_identity_check(3, max_n)
 
@@ -102,15 +111,16 @@ def suite_gamma3(max_n: int = 40, r3_cross_n: int = 30) -> Iterator[CheckResult]
                  [correction_r3, lambda n, i: correction_r(3, 1, n - 1, i - 1)],
                  "correction mismatch at n={}, i={}")
 
-    bound = min(25, max_n)
+    bound = _range(max_cells, 25, 1)
     yield _agree("gamma3-motzkin-row-sums", f"n<={bound}", product(range(bound + 1)),
                  [lambda n: sum(gamma_def(3, n, i) for i in range(n // 2 + 1)), motzkin],
                  "row sum at n={0} is not motzkin({0})")
 
 
-def suite_gammas(max_n: int = 25) -> Iterator[CheckResult]:
+def suite_gammas(max_cells: int | None = None) -> Iterator[CheckResult]:
     """Width-4 and width-5 tables: both build routes agree and the recurrence
     holds on definitional values."""
+    max_n = _range(max_cells, 25)
     for s in (4, 5):
         yield from compare_methods(s, max_n).checks
         yield _recurrence_identity_check(s, max_n)
@@ -130,9 +140,20 @@ def _step_check(s: int, n_lo: int, n_hi: int) -> CheckResult:
     return run_check(f"tau{s}-step-breakdown", f"{n_lo}<=n<={n_hi}", cases())
 
 
-def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> Iterator[CheckResult]:
+def _anchors(s: int, max_n: int, anchors: dict[int, tuple], text: str) -> Iterator[tuple]:
+    """The width-s totals step (main, parity, gamma0, corrections, value) at each anchor
+    n <= max_n against its stated tuple; `text` formats n, got and expected."""
+    for n, expected in anchors.items():
+        if n <= max_n:
+            t = tau_recurrence_step(s, n, method="definition")
+            got = (t.main, t.parity_term, t.gamma0_term, t.correction_total, t.value)
+            yield text.format(n=n, got=got, expected=expected), got == expected
+
+
+def suite_tau(max_cells: int | None = None) -> Iterator[CheckResult]:
     """Totals by every route agree with each other and with the reference
     sequences, and the step-by-step recurrence breakdown holds exactly."""
+    max2, max3, max45 = _range(max_cells, 60), _range(max_cells, 40), _range(max_cells, 25)
     by_def, by_rec, closed = (partial(tau, method=method)
                               for method in ("definition", "recurrence", "closed"))
     yield _agree("tau2-three-methods", f"n<={max2}", product([2], range(max2 + 1)),
@@ -147,15 +168,9 @@ def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> Iterator[Check
     else:
         yield skip_check("tau3-step-breakdown", "needs n >= 3")
 
-    anchors = {4: (12, 0, 2, 1, 9), 6: (63, 0, 7, 5, 51)}
-    def cases():
-        for n, expected in anchors.items():
-            if n > max3:
-                continue
-            t = tau_recurrence_step(3, n, method="definition")
-            got = (t.main, t.parity_term, t.gamma0_term, t.correction_total, t.value)
-            yield f"anchor at n={n}: {got} != {expected}", got == expected
-    yield run_check("tau3-step-anchors", "n in {4, 6}", cases())
+    yield run_check("tau3-step-anchors", "n in {4, 6}",
+                    _anchors(3, max3, {4: (12, 0, 2, 1, 9), 6: (63, 0, 7, 5, 51)},
+                             "anchor at n={n}: {got} != {expected}"))
 
     yield _agree("tauS-def-vs-rec", f"s in {{4,5}}, n<={max45}",
                  product((4, 5), range(max45 + 1)), [by_def, by_rec],
@@ -166,15 +181,11 @@ def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> Iterator[Check
         else:
             yield skip_check(f"tau{s}-step-breakdown", f"needs n >= {s}")
 
-    def cases():
-        if max45 >= 4:
-            t = tau_recurrence_step(4, 4, method="definition")
-            got = (t.main, t.parity_term, t.gamma0_term, t.correction_total, t.value)
-            yield f"tau_4(4) anchor: {got}", got == (16, 0, 2, 4, 10)
-    yield run_check("tau4-step-anchor", "n=4", cases())
+    yield run_check("tau4-step-anchor", "n=4",
+                    _anchors(4, max45, {4: (16, 0, 2, 4, 10)}, "tau_4(4) anchor: {got}"))
 
     # tau(s, n, "definition") reads the same sweep: match Frobenius totals instead.
-    bound = min(20, max2, max3, max45)
+    bound = _range(max_cells, 20, 1)
     yield _agree("tau-growth-agreement", f"s<=5, n<={bound}",
                  product((2, 3, 4, 5), range(bound + 1)),
                  [tau_growth, lambda s, n: sum(map(_hook_count, partitions_at_most(n, s)))],
@@ -183,10 +194,11 @@ def suite_tau(max2: int = 60, max3: int = 40, max45: int = 25) -> Iterator[Check
 
 # --- ratios ------------------------------------------------------------------------
 
-def suite_ratio(max3: int = 200, max45: int = 120,
-                cross_n: int = 40) -> Iterator[CheckResult]:
+def suite_ratio(max_cells: int | None = None) -> Iterator[CheckResult]:
     """Series totals agree with the growth sweep, and the exact ratios
     tau_s(n) / tau_s(n-1) keep their bound, approach, and decomposition properties."""
+    max3, max45 = _range(max_cells, 200), _range(max_cells, 120)
+    cross_n = _range(max_cells, 40, 1)
     ranges = {3: max3, 4: max45, 5: max45}
     yield _agree("ratio-totals-series-vs-growth", f"2<=s<=7, n<={cross_n}",
                  product(range(2, 8), range(cross_n + 1)), [tau_series, tau_growth],
@@ -220,7 +232,7 @@ def suite_ratio(max3: int = 200, max45: int = 120,
     yield run_check("ratio-deficit-monotone", f"s in {{3,4,5}}, 50<=n, caps {ranges}",
                     cases())
 
-    bound = min(60, max3)
+    bound = _range(max_cells, 60, 1)
     def cases():
         for n in range(1, bound + 1):
             value = ratio(2, n)
@@ -230,7 +242,7 @@ def suite_ratio(max3: int = 200, max45: int = 120,
     yield run_check("ratio2-even-equality", f"n<={bound}", cases())
 
     # The decomposition checks come last: a range too small for them ends the suite.
-    hi = min(40, max3)
+    hi = _range(max_cells, 40, 1)
     if hi < 3:
         yield skip_check("ratio3-decomposition", "needs n >= 3")
         return
@@ -262,11 +274,13 @@ def suite_ratio(max3: int = 200, max45: int = 120,
 
 # --- brute-force oracles --------------------------------------------------------------
 
-def suite_oracle(max_cells: int = 12, conj_cells: int = 20, ident_n: int = 10,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[CheckResult]:
+def suite_oracle(max_cells: int | None = None,
+                 cap: int | None = None) -> Iterator[CheckResult]:
     """The four per-shape counting routes agree, counts are conjugation
-    invariant, and the classical square-sum and involution identities hold."""
-    bound = min(max_cells, cap)  # explicit listing never outruns the cap
+    invariant, and the classical square-sum and involution identities hold.
+    Listing fillings stays at 12 cells at most, and within `cap` (None: the default)."""
+    bound = min(_range(max_cells, 12, 1), DEFAULT_ENUMERATION_CAP if cap is None else cap)
+    conj_cells, ident_n = _range(max_cells, 20, 1), _range(max_cells, 10, 1)
     def cases():
         tally = Counter(tuple(h) for h, _ in tableau_walk((bound,) * 6, bound, True))
         for n in range(bound + 1):
@@ -304,32 +318,18 @@ _SUITES = {"alpha": suite_alpha, "gamma3": suite_gamma3, "gammaS": suite_gammas,
            "tau": suite_tau, "ratio": suite_ratio, "oracle": suite_oracle}
 SUITE_NAMES = (*_SUITES, "all")
 
-# Under `max_cells = m` every range becomes m, except these: min(default, m // divisor).
-# The divisor 2 is there because the Catalan diagonal puts 2k cells at k. The oracle's
-# `max_cells` is capped so that listing fillings stays at its default 12 cells at most.
-_CAPPED_RANGES = {"catalan_n": 2, "r3_cross_n": 1, "cross_n": 1, "conj_cells": 1,
-                  "ident_n": 1, "max_cells": 1}
-
 
 def run_suite(name: str, max_cells: int | None = None,
               oracle_cap: int | None = None) -> VerificationReport:
-    """Run one named suite (or "all"), clipping ranges to `max_cells` when given."""
+    """Run one named suite (or "all"): its default ranges, or under `max_cells` each range
+    becomes `max_cells`, the capped ones at most their default. See `suite_oracle`'s cap."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    if max_cells is not None and max_cells < 0:
-        raise ValueError("max_cells must be >= 0")
-    if oracle_cap is not None and oracle_cap < 0:
-        raise ValueError("oracle_cap must be >= 0")
-
-    def checks(suite: str) -> Iterator[CheckResult]:
-        params = inspect.signature(_SUITES[suite]).parameters
-        ranges = {} if max_cells is None else {
-            param: min(spec.default, max_cells // _CAPPED_RANGES[param])
-            if param in _CAPPED_RANGES else max_cells
-            for param, spec in params.items() if param != "cap"}
-        if "cap" in params and oracle_cap is not None:
-            ranges["cap"] = oracle_cap
-        return _SUITES[suite](**ranges)
-
-    suites = _SUITES if name == "all" else [name]
-    return timed_report(name, (check for suite in suites for check in checks(suite)))
+    for arg, value in (("max_cells", max_cells), ("oracle_cap", oracle_cap)):
+        if value is not None and value.__class__ is not int:  # no float or bool
+            raise TypeError(f"{arg} must be an integer, got {value!r}")
+        if value is not None and value < 0:
+            raise ValueError(f"{arg} must be >= 0")
+    suites = dict(_SUITES, oracle=partial(_SUITES["oracle"], cap=oracle_cap))
+    chosen = suites.values() if name == "all" else [suites[name]]
+    return timed_report(name, (check for suite in chosen for check in suite(max_cells)))

@@ -239,6 +239,58 @@ def test_run_suite_rejects_negative_max_cells(suite, capsys):
     assert "--max-cells must be >= 0" in err
 
 
+@pytest.mark.parametrize("suite, sizes", [
+    ("alpha", {"max_cells": True}), ("alpha", {"max_cells": 2.0}),
+    ("all", {"max_cells": False}), ("oracle", {"max_cells": 4, "oracle_cap": True}),
+    ("oracle", {"max_cells": 4, "oracle_cap": 5.0}), ("oracle", {"oracle_cap": False})])
+def test_run_suite_rejects_non_integer_sizes(suite, sizes):
+    bad = next(k for k, v in sizes.items() if v.__class__ is not int)
+    with pytest.raises(TypeError, match=f"{bad} must be an integer, got {sizes[bad]!r}"):
+        run_suite(suite, **sizes)
+
+
+# Under a max_cells above every capped default, each capped range stays at its default,
+# and the other ranges (all but fixed anchors and the n = 200 window) become max_cells.
+CAPPED_SCOPES = {
+    ("alpha", 70): {"alpha-catalan-diagonal": "k<=30", "ballot-reindexing": "j<=30"},
+    ("gamma3", 45): {"r3-equals-generic-correction": "n<=30",
+                     "gamma3-motzkin-row-sums": "n<=25"},
+    ("tau", 30): {"tau-growth-agreement": "s<=5, n<=20"},
+    ("ratio", 70): {"ratio-totals-series-vs-growth": "2<=s<=7, n<=40",
+                    "ratio2-even-equality": "n<=60",
+                    "ratio3-decomposition-exact": "3<=n<=40",
+                    "ratio3-decomposition-shrink": "n=10 vs n=40"},
+    ("oracle", 30): {"oracle-triple-agreement": "shapes with <=12 cells, <=6 columns",
+                     "conjugation-invariance": "shapes with <=20 cells",
+                     "square-sum-factorial": "n<=10", "involution-sum": "n<=10"},
+}
+FIXED_SCOPES = {"tau3-step-anchors": "n in {4, 6}", "tau4-step-anchor": "n=4",
+                "ratio3-limit-proximity": "skipped: needs n = 200"}
+
+
+@pytest.mark.parametrize("suite, max_cells", CAPPED_SCOPES)
+def test_capped_ranges_stay_at_their_defaults_and_the_rest_follow_max_cells(suite,
+                                                                             max_cells):
+    checks = run_suite(suite, max_cells=max_cells).checks
+    capped = CAPPED_SCOPES[suite, max_cells]
+    assert all(c.passed and (c.checked or c.name in FIXED_SCOPES) for c in checks)
+    assert {c.name: c.scope for c in checks if c.name in capped} == capped
+    for c in checks:
+        if c.name in FIXED_SCOPES:
+            assert c.scope == FIXED_SCOPES[c.name]
+        elif c.name not in capped:
+            assert re.search(rf"\b{max_cells}\b", c.scope), (c.name, c.scope)
+
+
+def test_run_suite_binds_the_oracle_cap_to_the_listing():
+    triple = run_suite("oracle", max_cells=12, oracle_cap=5).checks[0]
+    assert (triple.name, triple.scope) == ("oracle-triple-agreement",
+                                           "shapes with <=5 cells, <=6 columns")
+    assert triple.passed and triple.checked > 0
+    assert [c.scope for c in run_suite("all", max_cells=12, oracle_cap=5).checks
+            if c.name == "oracle-triple-agreement"] == [triple.scope]
+
+
 def test_oracle_rejects_negative_cap(capsys):
     status, out, err = invoke(capsys, "oracle", "--shape", "2,1", "--oracle-cap", "-1")
     assert status == 2

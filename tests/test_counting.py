@@ -99,7 +99,8 @@ def test_enumeration_is_lazy(monkeypatch):
     listing = syt_enumerate(shape)
     assert iter(listing) is listing and not built
     first = next(listing)
-    assert first.columns == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10), (11, 12, 13), (14, 15), (16,))
+    assert first.columns == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10), (11, 12, 13), (14, 15),
+                             (16,))
     next(listing)
     assert len(built) == 2 and syt_count_hlf(shape) == 1153152
 

@@ -282,7 +282,9 @@ INTEGER_CALLS = [(tau, (3, 6)), (tau, (3, 1)), (tau_growth, (3, 6)), (tau_growth
                  (gamma.correction_r, (4, 1, 6, 1)), (gamma.correction_r, (4, 1, 1, 0)),
                  (gamma.build_table, (3, 4)), (gamma.build_table, (2, 4)),
                  (partitions_at_most, (6, 3)), (gamma.alpha, (4, 1)),
-                 (catalan, (1,)), (motzkin, (1,)), (involutions, (1,))]
+                 (catalan, (1,)), (motzkin, (1,)), (involutions, (1,)),
+                 (central_binomial, (1,)), (gamma.ballot_entry, (1, 1)),
+                 (gamma.correction_r3, (7, 1)), (gamma.correction_r3, (7, 2))]
 
 
 def _non_integer_spellings(args):
