@@ -7,17 +7,13 @@ from typing import Callable
 class Memo:
     """The terms of a sequence whose next term is `step(terms)`.
 
-    With `batch=True` a request for index n past the end calls `step(terms, n)`
-    instead, which returns the next terms, through index n at least.
-
     Extension holds a lock, so each term is built once and in order however
     many threads ask for it; a term already built is read without the lock.
     """
 
-    def __init__(self, seed: list, step: Callable, batch: bool = False) -> None:
+    def __init__(self, seed: list, step: Callable) -> None:
         self._seed_len = len(seed)
         self._step = step
-        self._batch = batch
         self._lock = threading.Lock()
         self._terms = list(seed)
 
@@ -31,10 +27,7 @@ class Memo:
             raise ValueError("n must be >= 0")
         with self._lock:
             while len(terms) <= n:
-                if self._batch:
-                    terms.extend(self._step(terms, n))
-                else:
-                    terms.append(self._step(terms))
+                terms.append(self._step(terms))
         return terms[n]
 
     def clear(self) -> None:

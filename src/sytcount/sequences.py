@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from itertools import chain, repeat
 from math import comb
 from operator import add, mul
 from typing import NamedTuple
@@ -110,58 +111,59 @@ def tau_growth(s: int, n: int) -> int:
 
 
 # --- totals by Gessel's Bessel determinant --------------------------------------
-# A series is its list of exponential generating function coefficients up to one
-# degree, so the product is the binomial convolution and stays integral.
-
-def _determinant_totals(s: int, degree: int) -> list[int]:
-    """tau_s(0..degree) from Gessel's determinant, 1 <= i, j <= m = s // 2:
-    det[I_{i-j} + I_{i+j-1}] for s = 2m, e^x det[I_{i-j} - I_{i+j}] for s = 2m+1,
-    where I_v(2x) has coefficient C(n, (n-|v|)/2) when n >= |v| and n = v mod 2.
-    It counts at most s rows, hence by conjugation at most s columns."""
-    binomials = [[1]]
-    for _ in range(degree):
-        binomials.append([1, *map(add, binomials[-1], binomials[-1][1:]), 1])
-
-    def times(a: list[int], b: list[int]) -> list[int]:
-        return [sum(map(mul, map(mul, row, a), b[n::-1]))
-                for n, row in enumerate(binomials)]
-
-    def divide(c: list[int], a: list[int]) -> list[int]:
-        q = []  # a * q = c: q_n = c_n - sum_{k>=1} C(n,k) a_k q_{n-k}, exact as a_0 = 1
-        for n, row in enumerate(binomials):
-            q.append(c[n] - sum(map(mul, map(mul, row[1:], a[1:]), q[::-1])))
-        return q
-
-    def bessel(v: int) -> list[int]:
-        return [comb(n, (n - v) // 2) if n >= v and (n - v) % 2 == 0 else 0
-                for n in range(degree + 1)]
-
-    m, odd = divmod(s, 2)
-    matrix = [[[x - y if odd else x + y
-                for x, y in zip(bessel(abs(i - j)), bessel(i + j - 1 + odd))]
-               for j in range(1, m + 1)] for i in range(1, m + 1)]
-    total = [1] * (degree + 1) if odd else [1] + [0] * degree  # e^x or 1
-    for k, row in enumerate(matrix):
-        pivot = row[k]
-        if pivot[0] != 1:
-            raise ArithmeticError(f"width-{s} pivot {k} has constant term {pivot[0]}")
-        total = times(total, pivot)
-        for lower in matrix[k + 1:]:
-            factor = divide(lower[k], pivot)
-            for c in range(k + 1, m):
-                lower[c] = [x - y for x, y in zip(lower[c], times(factor, row[c]))]
-    return total
-
+# A series is its list of exponential generating function coefficients, so a product
+# is the binomial convolution and stays integral. The determinant is e^x or 1 times the
+# pivots of an elimination without row swaps, and coefficient n of a product or quotient
+# reads only coefficients <= n of its inputs, so the elimination runs one n at a time.
 
 @MemoMap
 def _series_states(s: int) -> Memo:
-    def step(totals: list[int], n: int) -> list[int]:
-        # A request for n builds degree n in one batch, and an ascending sweep
-        # doubles the degree built so far: O(log n) rebuilds per width.
-        built = len(totals)
-        return _determinant_totals(s, max(n, 2 * built - 2))[built:]
+    """tau_s(n) from Gessel's determinant, 1 <= i, j <= m = s // 2:
+    det[I_{i-j} + I_{i+j-1}] for s = 2m, e^x det[I_{i-j} - I_{i+j}] for s = 2m+1,
+    where I_v(2x) has coefficient C(n, (n-|v|)/2) when n >= |v| and n = v mod 2.
+    It counts at most s rows, hence by conjugation at most s columns."""
+    m, odd = divmod(s, 2)
+    # Only these series keep their history: row k with rows 0..k-1 eliminated (entries
+    # k..m-1, the pivot first), the factors that eliminate it from the rows below, and
+    # e^x or 1 times pivots 0..k-1. Every other entry needs only its coefficient n.
+    rows = [[[] for _ in range(k, m)] for k in range(m)]
+    factors = [[[] for _ in range(k + 1, m)] for k in range(m)]
+    products = [[] for _ in range(m)]
+    binomial = [1]  # C(n, j) for j = 0..n
 
-    return Memo([1], step, batch=True)
+    def step(totals: list[int]) -> int:
+        nonlocal binomial
+        n = len(totals)
+        for series in chain(*rows, *factors, products):
+            del series[n:]  # drop what clear() or a failed step left past n
+        if not n:
+            binomial = [1]
+        bessel = [comb(n, (n - v) // 2) if n >= v and (n - v) % 2 == 0 else 0
+                  for v in range(2 * m + 1)]
+        entry = [[bessel[abs(i - j)] + (-1) ** odd * bessel[i + j + 1 + odd]
+                  for j in range(m)] for i in range(m)]
+        products[0].append(1 if odd or not n else 0)  # e^x or 1
+        for k, row in enumerate(rows):
+            for series, x in zip(row, entry[k][k:]):
+                series.append(x)
+            pivot = row[0]
+            if pivot[0] != 1:  # the factors are exact only while it is 1
+                raise ArithmeticError(f"width-{s} pivot {k} has constant term {pivot[0]}")
+            total = sum(map(mul, map(mul, binomial, products[k]), reversed(pivot)))
+            if k + 1 == m:  # the last pivot has no rows below it
+                break
+            products[k + 1].append(total)
+            # factor * pivot = entry: q_n = e_n - sum_{j=1..n} C(n, j) p_j q_{n-j}
+            weights = list(map(mul, binomial[:0:-1], pivot[:0:-1]))  # j = n..1
+            for factor, lower in zip(factors[k], entry[k + 1:]):
+                factor.append(lower[k] - sum(map(mul, weights, factor)))
+                scaled = list(map(mul, binomial, reversed(factor)))  # C(n, j) q_{n-j}
+                for c, series in enumerate(row[1:], k + 1):
+                    lower[c] -= sum(map(mul, scaled, series))
+        binomial = [1, *map(add, binomial, binomial[1:]), 1]  # for step n + 1
+        return total
+
+    return Memo([], step)
 
 
 def tau_series(s: int, n: int) -> int:
@@ -286,6 +288,8 @@ def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurr
 def approx_decimal(value: Fraction, digits: int = 12) -> str:
     """Render an exact rational as a plain decimal string with `digits`
     significant digits. Presentation only; never used in comparisons."""
+    if digits.__class__ is not int:  # True would pass as 1 digit
+        raise TypeError(f"digits must be an integer, got {digits!r}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     with localcontext() as ctx:
@@ -296,6 +300,8 @@ def approx_decimal(value: Fraction, digits: int = 12) -> str:
 
 def ratio(s: int, n: int) -> Fraction:
     """Exact consecutive-totals ratio tau_s(n) / tau_s(n-1)."""
+    if n.__class__ is not int:  # 0.5 must not fail the range check first
+        raise TypeError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("ratio needs n >= 1")
     return Fraction(tau_series(s, n), tau_series(s, n - 1))
@@ -316,6 +322,8 @@ class RatioParts(NamedTuple):
 def ratio_decomposition(n: int) -> RatioParts:
     """Split 3 - ratio(3, n) into its parity, leading-entry and correction
     shares; the three parts sum to the deficit exactly."""
+    if n.__class__ is not int:  # True must not fail the range check first
+        raise TypeError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise ValueError("the decomposition needs n >= 3")
     denominator = tau_series(3, n - 1)
@@ -334,10 +342,9 @@ class RatioRow(NamedTuple):
 
 def ratio_table(s: int, max_n: int) -> list[RatioRow]:
     """Exact ratios for n = 1..max_n, each with a 12-digit presentation decimal."""
+    if max_n.__class__ is not int:  # range(1, True + 1) would give one row
+        raise TypeError(f"max_n must be an integer, got {max_n!r}")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    rows = []
-    for n in range(1, max_n + 1):
-        value = ratio(s, n)
-        rows.append(RatioRow(n, value, approx_decimal(value)))
-    return rows
+    values = map(ratio, repeat(s), range(1, max_n + 1))
+    return [RatioRow(n, value, approx_decimal(value)) for n, value in enumerate(values, 1)]

@@ -21,6 +21,8 @@ CALLS = {
     "tau(4, 30, 'recurrence')": lambda: tau(4, 30, "recurrence"),
     "gamma_rec(4, 40, 5)": lambda: gamma_rec(4, 40, 5),
     "tau_series(5, 60)": lambda: tau_series(5, 60),
+    # m = 3: threads extend the pivot rows, factors and products of one width together
+    "tau_series(7, 60)": lambda: tau_series(7, 60),
 }
 
 
@@ -81,7 +83,8 @@ def test_memos_extend_correctly_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     expected = dict(zip(CALLS, (_at_most_four_columns(50), _at_most_four_columns(30),
-                                gamma_def(4, 40, 5), _at_most_five_columns(60))))
+                                gamma_def(4, 40, 5), _at_most_five_columns(60),
+                                6889438252826307258236860627500081568135)))
     assert results == [expected] * THREADS
     # the memos were left consistent, not poisoned
     assert {name: call() for name, call in CALLS.items()} == expected

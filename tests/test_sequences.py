@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -142,49 +143,79 @@ def test_tau_series_rejects_bad_arguments():
             call(3, -1)
 
 
-def _recorded_degrees(monkeypatch):
-    """The degrees `_determinant_totals` is called with from now on."""
-    degrees = []
-    build = seq._determinant_totals
-
-    def recording(s, degree):
-        degrees.append(degree)
-        return build(s, degree)
-
-    monkeypatch.setattr(seq, "_determinant_totals", recording)
-    return degrees
+# sha256 of "s n tau_series(s, n)\n" for s = 2..24 and n = 0..60, pinned from the
+# batch determinant build that the one-coefficient-at-a-time elimination replaced
+SERIES_DIGEST = "f9bb4904e80f7aab3f226a87559e38b9b9be9e5c04b25d1300435d8384d1d127"
 
 
-def test_cleared_series_memo_rebuilds_from_degree_one(monkeypatch):
-    tau_series(5, len(TAU5_PREFIX) + 60)
-    degrees = _recorded_degrees(monkeypatch)
-    seq._series_states[5].clear()
-    assert tau_series(5, len(TAU5_PREFIX) - 1) == TAU5_PREFIX[-1]
-    assert [tau_series(5, n) for n in range(len(TAU5_PREFIX))] == TAU5_PREFIX
-    assert degrees == [10]
+def test_series_totals_match_their_pinned_digest():
+    text = "".join(f"{s} {n} {tau_series(s, n)}\n" for s in range(2, 25) for n in range(61))
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_DIGEST
 
 
-def test_cold_wide_series_request_builds_its_degree_once(monkeypatch):
-    degrees = _recorded_degrees(monkeypatch)
-    seq._series_states[40].clear()
-    total = tau_series(40, 70)
-    assert degrees == [70]
-    assert involutions(40) == tau_series(40, 40) and total < involutions(70)
-    assert degrees == [70]
+def _recorded_steps(monkeypatch, s):
+    """A cold width-s series memo, and the term index of each step it takes from now on."""
+    seq._series_states.pop(s, None)
+    memo, steps = seq._series_states[s], []
+    step = memo._step
+
+    def recording(totals):
+        steps.append(len(totals))
+        return step(totals)
+
+    monkeypatch.setattr(memo, "_step", recording)
+    return memo, steps
 
 
-def test_ascending_series_sweep_doubles_its_degree(monkeypatch):
-    degrees = _recorded_degrees(monkeypatch)
-    seq._series_states[5].clear()
+def test_ascending_series_sweep_steps_each_term_once(monkeypatch):
+    _, steps = _recorded_steps(monkeypatch, 5)
     for n in range(1, 17):
         assert tau_series(5, n) == tau_growth(5, n)
-    assert degrees == [1, 2, 4, 8, 16]
+    assert steps == list(range(17))
+
+
+def test_cold_wide_series_request_steps_each_term_once(monkeypatch):
+    _, steps = _recorded_steps(monkeypatch, 40)
+    total = tau_series(40, 70)
+    assert steps == list(range(71))
+    assert involutions(40) == tau_series(40, 40) and total < involutions(70)
+    assert steps == list(range(71))
+
+
+def test_cleared_series_memo_restarts_from_term_zero(monkeypatch):
+    values = [tau_series(7, n) for n in range(41)]
+    memo, steps = _recorded_steps(monkeypatch, 7)
+    assert [tau_series(7, n) for n in range(41)] == values
+    memo.clear()
+    steps.clear()
+    assert tau_series(7, 10) == values[10]
+    assert steps == list(range(11))
+    assert [tau_series(7, n) for n in range(41)] == values
+    assert steps == list(range(41))
 
 
 def test_series_pivot_without_unit_constant_term_raises(monkeypatch):
+    expected = {s: [tau_series(s, n) for n in range(21)] for s in (4, 7)}
+    for s in expected:
+        seq._series_states.pop(s, None)
     monkeypatch.setattr(seq, "comb", lambda n, k: 2 * comb(n, k))
-    with pytest.raises(ArithmeticError, match="pivot 0 has constant term 2"):
-        seq._determinant_totals(4, 5)
+    for s in expected:
+        with pytest.raises(ArithmeticError, match="pivot 0 has constant term 2"):
+            tau_series(s, 5)
+    monkeypatch.undo()
+    assert {s: [tau_series(s, n) for n in range(21)] for s in expected} == expected
+
+
+def test_a_series_step_that_fails_part_way_leaves_nothing_behind(monkeypatch):
+    expected = [tau_series(7, n) for n in range(21)]
+    seq._series_states.pop(7, None)
+    assert tau_series(7, 9) == expected[9]
+    # step 10 appends coefficient 10 of row 0 and of e^x, then fails in its first product
+    monkeypatch.setattr(seq, "mul", lambda a, b: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        tau_series(7, 10)
+    monkeypatch.undo()
+    assert [tau_series(7, n) for n in range(21)] == expected
 
 
 def test_recurrence_step_desk_values():
@@ -284,11 +315,15 @@ INTEGER_CALLS = [(tau, (3, 6)), (tau, (3, 1)), (tau_growth, (3, 6)), (tau_growth
                  (partitions_at_most, (6, 3)), (gamma.alpha, (4, 1)),
                  (catalan, (1,)), (motzkin, (1,)), (involutions, (1,)),
                  (central_binomial, (1,)), (gamma.ballot_entry, (1, 1)),
-                 (gamma.correction_r3, (7, 1)), (gamma.correction_r3, (7, 2))]
+                 (gamma.correction_r3, (7, 1)), (gamma.correction_r3, (7, 2)),
+                 (ratio, (3, 1)), (ratio_table, (3, 1)), (ratio_decomposition, (3,)),
+                 (approx_decimal, (Fraction(1, 3), 1))]
 
 
 def _non_integer_spellings(args):
     for position, value in enumerate(args):
+        if value.__class__ is not int:  # the Fraction that approx_decimal renders
+            continue
         for spelling in (float(value), *([bool(value)] if value in (0, 1) else [])):
             yield args[:position] + (spelling,) + args[position + 1:]
 
@@ -308,6 +343,10 @@ def test_non_integer_arguments_raise_a_type_error_cold_and_warm():
                 with pytest.raises(TypeError):
                     call(*spelled)
                     pytest.fail(f"{call.__name__}{spelled!r} answered (warm={warm})")
+    # below the range of their own check: the class must be checked first
+    for call, args in ((ratio, (3, 0.5)), (ratio_decomposition, (True,))):
+        with pytest.raises(TypeError):
+            call(*args)
 
 
 def test_correction_aggregate_values():
