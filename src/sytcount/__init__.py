@@ -12,8 +12,8 @@ from .counting import (DEFAULT_ENUMERATION_CAP, HookDivisionError,
                        StandardTableau, syt_count_hlf, syt_count_recursive,
                        syt_enumerate)
 from .gamma import (CorrectionTerm, GammaTable, NegativeEntryError, alpha,
-                    ballot_entry, build_table, compare_methods, correction_r,
-                    correction_r3, gamma_def, gamma_rec)
+                    ballot_entry, build_table, correction_r, correction_r3,
+                    gamma_def, gamma_rec)
 from .report import CheckResult, VerificationReport
 from .sequences import (RatioParts, RatioRow, RecurrenceMismatchError,
                         TauRecurrenceTerms, approx_decimal, catalan,
@@ -22,7 +22,7 @@ from .sequences import (RatioParts, RatioRow, RecurrenceMismatchError,
                         tau_recurrence_step, tau_series)
 from .shapes import (ColumnShape, ShapeFamilyQuery, conjugate,
                      enumerate_family, partitions_at_most, r3_shape)
-from .verify import run_suite
+from .verify import compare_methods, run_suite
 
 __version__ = "0.1.0"
 

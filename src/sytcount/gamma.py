@@ -6,7 +6,7 @@ s = 2 this reduces to indexing two-column shapes by their second column).
 Each table can be built two independent ways: definitionally, by bucketing one
 corner-growth sweep by that difference, or by a three-term row recurrence whose
 correction terms are the same buckets restricted to equal adjacent columns.
-Comparing the two routes entrywise is the point of this module.
+`verify.compare_methods` compares the two routes entrywise.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from ._memo import Memo, MemoMap
 from .counting import syt_count_hlf
-from .report import VerificationReport, run_check, timed_report
 from .shapes import ColumnShape, r3_shape
 
 DEFINITIONAL = "definitional"
@@ -283,22 +282,3 @@ def build_table(s: int, max_n: int, method: str = DEFINITIONAL) -> GammaTable:
     return GammaTable(s=s, method=method,
                       rows=[_table_row(s, n, method) for n in range(max_n + 1)])
 
-
-def compare_methods(s: int, max_n: int) -> VerificationReport:
-    """Entrywise comparison of the definitional and recurrence tables."""
-    if s < 3:
-        raise ValueError("width bound must be at least 3")
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-
-    def checks():
-        entries = [(n, i) for n in range(max_n + 1) for i in range(n // 2 + 1)]
-        def cases():
-            for n, i in entries:
-                by_def, by_rec = gamma_def(s, n, i), gamma_rec(s, n, i)
-                yield (f"n={n}, i={i}: definitional={by_def}, recurrence={by_rec}",
-                       by_def == by_rec)
-        yield run_check("gamma-def-vs-recurrence",
-                        f"s={s}, n<={max_n} ({len(entries)} entries)", cases())
-
-    return timed_report(f"gamma-compare-s{s}", checks())

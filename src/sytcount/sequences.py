@@ -260,8 +260,7 @@ def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurr
     n-1 and checked against the sum of row n; a mismatch raises
     RecurrenceMismatchError carrying the full breakdown.
     """
-    if s < 2:
-        raise ValueError("width bound must be at least 2")
+    _check_totals_args(s, n)  # 2.0 would put a float in the terms
     if s == 2 and n < 1:
         raise ValueError("the two-column step needs n >= 1")
     if s >= 3 and n < s:
@@ -288,6 +287,8 @@ def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurr
 def approx_decimal(value: Fraction, digits: int = 12) -> str:
     """Render an exact rational as a plain decimal string with `digits`
     significant digits. Presentation only; never used in comparisons."""
+    if value.__class__ is not Fraction:  # 3 has a numerator too
+        raise TypeError(f"value must be a Fraction, got {value!r}")
     if digits.__class__ is not int:  # True would pass as 1 digit
         raise TypeError(f"digits must be an integer, got {digits!r}")
     if digits < 1:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator
 from .counting import (DEFAULT_ENUMERATION_CAP, _hook_count, syt_count_hlf,
                        syt_count_hook_product, syt_count_recursive, tableau_walk)
 from .gamma import (NegativeEntryError, _recurrence_entry, _two_column_def, alpha,
-                    ballot_entry, compare_methods, correction_r, correction_r3, gamma_def)
+                    ballot_entry, correction_r, correction_r3, gamma_def, gamma_rec)
 from .report import CheckResult, VerificationReport, run_check, skip_check, timed_report
 from .sequences import (RecurrenceMismatchError, catalan, central_binomial,
                         involutions, motzkin, parity_indicator, ratio, ratio_decomposition,
@@ -34,10 +34,13 @@ def _range(max_cells: int | None, default: int, divisor: int = 0) -> int:
 def _agree(name: str, scope: str, points: Iterable[tuple], routes: list[Callable],
            text: str) -> CheckResult:
     """One case per point, an argument tuple: it passes when every route gives the same
-    value there, and `text.format(*point)` describes it."""
-    cases = ((text.format(*point), len({route(*point) for route in routes}) == 1)
-             for point in points)
-    return run_check(name, scope, cases)
+    value there, and `text.format(*point, *values)` describes it, `values` being each
+    route's result in route order."""
+    def cases():
+        for point in points:
+            values = [route(*point) for route in routes]
+            yield text.format(*point, *values), len(set(values)) == 1
+    return run_check(name, scope, cases())
 
 
 # --- two-column triangle -------------------------------------------------------
@@ -78,6 +81,23 @@ def suite_alpha(max_cells: int | None = None) -> Iterator[CheckResult]:
 
 
 # --- width-3 table ---------------------------------------------------------------
+
+def compare_methods(s: int, max_n: int) -> VerificationReport:
+    """Entrywise comparison of the definitional and recurrence tables."""
+    if not s.__class__ is max_n.__class__ is int:  # True would compare rows 0..1
+        raise TypeError(f"width and row count must be integers, got {(s, max_n)!r}")
+    if s < 3:
+        raise ValueError("width bound must be at least 3")
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    def checks():  # drawn by timed_report, so `elapsed` covers the comparison
+        entries = [(s, n, i) for n in range(max_n + 1) for i in range(n // 2 + 1)]
+        yield _agree("gamma-def-vs-recurrence",
+                     f"s={s}, n<={max_n} ({len(entries)} entries)",
+                     entries, [gamma_def, gamma_rec],
+                     "n={1}, i={2}: definitional={3}, recurrence={4}")
+    return timed_report(f"gamma-compare-s{s}", checks())
+
 
 def _recurrence_identity_check(s: int, max_n: int) -> CheckResult:
     """The row recurrence applied to the definitional previous row, so the recurrence
@@ -140,20 +160,18 @@ def _step_check(s: int, n_lo: int, n_hi: int) -> CheckResult:
     return run_check(f"tau{s}-step-breakdown", f"{n_lo}<=n<={n_hi}", cases())
 
 
-def _anchors(s: int, max_n: int, anchors: dict[int, tuple], text: str) -> Iterator[tuple]:
-    """The width-s totals step (main, parity, gamma0, corrections, value) at each anchor
-    n <= max_n against its stated tuple; `text` formats n, got and expected."""
-    for n, expected in anchors.items():
-        if n <= max_n:
-            t = tau_recurrence_step(s, n, method="definition")
-            got = (t.main, t.parity_term, t.gamma0_term, t.correction_total, t.value)
-            yield text.format(n=n, got=got, expected=expected), got == expected
+def _step_terms(s: int, n: int) -> tuple[int, ...]:
+    """The width-s totals step as (main, parity, gamma0, corrections, value)."""
+    t = tau_recurrence_step(s, n, method="definition")
+    return t.main, t.parity_term, t.gamma0_term, t.correction_total, t.value
 
 
 def suite_tau(max_cells: int | None = None) -> Iterator[CheckResult]:
     """Totals by every route agree with each other and with the reference
     sequences, and the step-by-step recurrence breakdown holds exactly."""
     max2, max3, max45 = _range(max_cells, 60), _range(max_cells, 40), _range(max_cells, 25)
+    anchors = {(3, 4): (12, 0, 2, 1, 9), (3, 6): (63, 0, 7, 5, 51),  # in _step_terms' order
+               (4, 4): (16, 0, 2, 4, 10)}
     by_def, by_rec, closed = (partial(tau, method=method)
                               for method in ("definition", "recurrence", "closed"))
     yield _agree("tau2-three-methods", f"n<={max2}", product([2], range(max2 + 1)),
@@ -168,9 +186,8 @@ def suite_tau(max_cells: int | None = None) -> Iterator[CheckResult]:
     else:
         yield skip_check("tau3-step-breakdown", "needs n >= 3")
 
-    yield run_check("tau3-step-anchors", "n in {4, 6}",
-                    _anchors(3, max3, {4: (12, 0, 2, 1, 9), 6: (63, 0, 7, 5, 51)},
-                             "anchor at n={n}: {got} != {expected}"))
+    yield _agree("tau3-step-anchors", "n in {4, 6}", [(3, n) for n in (4, 6) if n <= max3],
+                 [_step_terms, lambda s, n: anchors[s, n]], "anchor at n={1}: {2} != {3}")
 
     yield _agree("tauS-def-vs-rec", f"s in {{4,5}}, n<={max45}",
                  product((4, 5), range(max45 + 1)), [by_def, by_rec],
@@ -181,8 +198,8 @@ def suite_tau(max_cells: int | None = None) -> Iterator[CheckResult]:
         else:
             yield skip_check(f"tau{s}-step-breakdown", f"needs n >= {s}")
 
-    yield run_check("tau4-step-anchor", "n=4",
-                    _anchors(4, max45, {4: (16, 0, 2, 4, 10)}, "tau_4(4) anchor: {got}"))
+    yield _agree("tau4-step-anchor", "n=4", [(4, 4)] if max45 >= 4 else [],
+                 [_step_terms, lambda s, n: anchors[s, n]], "tau_4(4) anchor: {2}")
 
     # tau(s, n, "definition") reads the same sweep: match Frobenius totals instead.
     bound = _range(max_cells, 20, 1)
@@ -246,12 +263,9 @@ def suite_ratio(max_cells: int | None = None) -> Iterator[CheckResult]:
     if hi < 3:
         yield skip_check("ratio3-decomposition", "needs n >= 3")
         return
-    def cases():
-        for n in range(3, hi + 1):
-            parts = ratio_decomposition(n)
-            yield (f"decomposition at n={n} does not sum to the deficit",
-                   parts.total == 3 - ratio(3, n))
-    yield run_check("ratio3-decomposition-exact", f"3<=n<={hi}", cases())
+    yield _agree("ratio3-decomposition-exact", f"3<=n<={hi}", product(range(3, hi + 1)),
+                 [lambda n: ratio_decomposition(n).total, lambda n: 3 - ratio(3, n)],
+                 "decomposition at n={} does not sum to the deficit")
     lo = 10
     if hi <= lo:
         yield skip_check("ratio3-decomposition-shrink", f"needs n > {lo}")
@@ -281,20 +295,13 @@ def suite_oracle(max_cells: int | None = None,
     Listing fillings stays at 12 cells at most, and within `cap` (None: the default)."""
     bound = min(_range(max_cells, 12, 1), DEFAULT_ENUMERATION_CAP if cap is None else cap)
     conj_cells, ident_n = _range(max_cells, 20, 1), _range(max_cells, 10, 1)
-    def cases():
-        tally = Counter(tuple(h) for h, _ in tableau_walk((bound,) * 6, bound, True))
-        for n in range(bound + 1):
-            for cols in partitions_at_most(n, 6):
-                shape = ColumnShape(cols)
-                hook = syt_count_hlf(shape)
-                product_count = syt_count_hook_product(shape)
-                removal = syt_count_recursive(shape)
-                listed = tally[cols + (0,) * (6 - len(cols))]
-                yield (f"counts disagree on {shape}: hook={hook}, product={product_count}, "
-                       f"removal={removal}, listed={listed}",
-                       hook == product_count == removal == listed)
-    yield run_check("oracle-triple-agreement",
-                    f"shapes with <={bound} cells, <=6 columns", cases())
+    tally = Counter(tuple(h) for h, _ in tableau_walk((bound,) * 6, bound, True))
+    yield _agree("oracle-triple-agreement", f"shapes with <={bound} cells, <=6 columns",
+                 ((ColumnShape(cols),) for n in range(bound + 1)
+                  for cols in partitions_at_most(n, 6)),
+                 [syt_count_hlf, syt_count_hook_product, syt_count_recursive,
+                  lambda shape: tally[shape.columns + (0,) * (6 - shape.width)]],
+                 "counts disagree on {}: hook={}, product={}, removal={}, listed={}")
 
     yield _agree("conjugation-invariance", f"shapes with <={conj_cells} cells",
                  ((ColumnShape(cols),) for n in range(conj_cells + 1)

@@ -14,11 +14,11 @@ from math import comb, factorial
 from sytcount.cli import run
 from sytcount.counting import (syt_count_hlf, syt_count_recursive,
                                syt_enumerate)
-from sytcount.gamma import (alpha, compare_methods, correction_r,
-                            correction_r3)
+from sytcount.gamma import alpha, correction_r, correction_r3
 from sytcount.sequences import (catalan, involutions, motzkin, ratio,
                                 ratio_decomposition, tau, tau_recurrence_step)
 from sytcount.shapes import ColumnShape, partitions_at_most
+from sytcount.verify import compare_methods
 
 
 def two_column(n, i):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,9 @@ BROKEN_ROUTES = [
      "growth total != definitional at s=4, n=7"),
     ("ratio", "ratio-totals-series-vs-growth", 0, "tau_series", (5, 7), "2<=s<=7, n<=12",
      78, "series total != growth total at s=5, n=7"),
+    ("oracle", "oracle-triple-agreement", 0, "syt_count_recursive", (ColumnShape((3, 1)),),
+     "shapes with <=12 cells, <=6 columns", 227,
+     "counts disagree on 3,1: hook=3, product=3, removal=4, listed=3"),
     ("oracle", "conjugation-invariance", 1, "syt_count_hlf", (ColumnShape((3, 1)),),
      "shapes with <=12 cells", 272, "count changed under conjugation of 3,1"),
     ("oracle", "square-sum-factorial", 2, "factorial", (7,), "n<=10", 11,
@@ -422,6 +426,39 @@ def test_agreement_checks_report_the_first_point_where_routes_part(
     def off_by_one(*args, **kwargs):
         return real(*args, **kwargs) + ((*args, *kwargs.values()) == point)
     monkeypatch.setattr(verify, route, off_by_one)
+    record = run_suite(suite, max_cells=12).checks[position]
+    assert record == CheckResult(name=name, scope=scope, passed=False, checked=checked,
+                                 counterexample=text)
+
+
+# As BROKEN_ROUTES, for routes the off-by-one helper cannot reach: these return records,
+# which `tweak` alters, and gamma_rec is patched in `gamma` too, where it is defined.
+BROKEN_RECORD_ROUTES = [
+    ("gammaS", "gamma-def-vs-recurrence", 0, "gamma_rec", (4, 7, 2), lambda v: v + 1,
+     "s=4, n<=12 (49 entries)", 49, "n=7, i=2: definitional=35, recurrence=36"),
+    ("tau", "tau3-step-anchors", 4, "tau_recurrence_step", (3, 6, "definition"),
+     lambda t: replace(t, main=t.main + 1), "n in {4, 6}", 2,
+     "anchor at n=6: (64, 0, 7, 5, 52) != (63, 0, 7, 5, 51)"),
+    ("tau", "tau4-step-anchor", 8, "tau_recurrence_step", (4, 4, "definition"),
+     lambda t: replace(t, main=t.main + 1), "n=4", 1, "tau_4(4) anchor: (17, 0, 2, 4, 11)"),
+    ("ratio", "ratio3-decomposition-exact", 5, "ratio_decomposition", (7,),
+     lambda parts: parts._replace(parity=parts.parity + 1), "3<=n<=12", 10,
+     "decomposition at n=7 does not sum to the deficit"),
+]
+
+
+@pytest.mark.parametrize("suite, name, position, route, point, tweak, scope, checked, text",
+                         BROKEN_RECORD_ROUTES, ids=[c[1] for c in BROKEN_RECORD_ROUTES])
+def test_agreement_checks_show_the_values_where_routes_part(
+        monkeypatch, suite, name, position, route, point, tweak, scope, checked, text):
+    def broken(real):
+        def route_at(*args, **kwargs):
+            value = real(*args, **kwargs)
+            return tweak(value) if (*args, *kwargs.values()) == point else value
+        return route_at
+    for module in (gamma, verify):
+        if hasattr(module, route):
+            monkeypatch.setattr(module, route, broken(getattr(module, route)))
     record = run_suite(suite, max_cells=12).checks[position]
     assert record == CheckResult(name=name, scope=scope, passed=False, checked=checked,
                                  counterexample=text)

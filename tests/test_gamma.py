@@ -9,11 +9,12 @@ from sytcount.cli import run
 from sytcount.counting import syt_count_hlf
 from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
                             _recurrence_entry, alpha, ballot_entry,
-                            build_table, compare_methods, correction_r,
-                            correction_r3, entry_corrections, gamma_def,
-                            gamma_rec, row_correction_terms, seed_rows)
+                            build_table, correction_r, correction_r3,
+                            entry_corrections, gamma_def, gamma_rec,
+                            row_correction_terms, seed_rows)
 from sytcount.sequences import catalan, tau
 from sytcount.shapes import ColumnShape, ShapeFamilyQuery, enumerate_family
+from sytcount.verify import compare_methods
 
 
 # --- two-column triangle ----------------------------------------------------

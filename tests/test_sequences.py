@@ -14,6 +14,7 @@ from sytcount.sequences import (RatioParts, RecurrenceMismatchError,
                                 ratio_table, tau, tau_growth,
                                 tau_recurrence_step, tau_series)
 from sytcount.shapes import partitions_at_most
+from sytcount.verify import compare_methods
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 MOTZKIN_PREFIX = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
@@ -317,7 +318,8 @@ INTEGER_CALLS = [(tau, (3, 6)), (tau, (3, 1)), (tau_growth, (3, 6)), (tau_growth
                  (central_binomial, (1,)), (gamma.ballot_entry, (1, 1)),
                  (gamma.correction_r3, (7, 1)), (gamma.correction_r3, (7, 2)),
                  (ratio, (3, 1)), (ratio_table, (3, 1)), (ratio_decomposition, (3,)),
-                 (approx_decimal, (Fraction(1, 3), 1))]
+                 (approx_decimal, (Fraction(1, 3), 1)), (compare_methods, (3, 1)),
+                 (tau_recurrence_step, (2, 1)), (tau_recurrence_step, (3, 3))]
 
 
 def _non_integer_spellings(args):
@@ -405,3 +407,9 @@ def test_approx_decimal_rendering():
     assert "e" not in approx_decimal(Fraction(10 ** 24, 1), digits=4).lower()
     with pytest.raises(ValueError):
         approx_decimal(Fraction(1, 3), digits=0)
+
+
+def test_approx_decimal_renders_only_fractions():
+    for value in (0.5, "1/3", 3):  # 3 has a numerator, so it used to render as "3"
+        with pytest.raises(TypeError):
+            approx_decimal(value)
