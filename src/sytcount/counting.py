@@ -3,15 +3,18 @@
 Four independent routes compute the same number: the Frobenius difference
 product on the column lengths (single shapes, and the check on the tables' growth
 sweep), the cell-by-cell hook product, a memoized corner-removal recursion, and
-listing the fillings by one memo-free walk of the tableau tree (`tableau_walk`).
-The other three validate the first and each other; no floats appear anywhere.
+listing the fillings by walking the tableau tree, which reads no count:
+`tableau_walk` yields one shape's fillings, and `listed_counts` tallies every
+shape's listed fillings within column bounds in one walk. The other three validate
+the first and each other; no floats appear anywhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from math import factorial, prod
 from operator import add, gt, sub
 from typing import Iterator
@@ -99,21 +102,21 @@ def syt_count_recursive(shape: ColumnShape) -> int:
     return _removal_count(shape.columns)
 
 
-def tableau_walk(bounds: tuple[int, ...], cells: int, every_node: bool = False
+def tableau_walk(bounds: tuple[int, ...], cells: int
                  ) -> Iterator[tuple[list[int], list[list[int]]]]:
-    """Depth-first walk of the fillings of 1..m (m <= `cells`) with column k at most
-    `bounds[k]` tall; a child adds m + 1 at a corner, trying columns left to right.
-    Yields the live `(heights, filling)` at every node, or only at m == `cells`."""
+    """Depth-first walk of the fillings of 1..`cells` with column k at most `bounds[k]`
+    tall; a child adds m + 1 at a corner, trying columns left to right. Yields the live
+    `(heights, filling)` at each leaf."""
     width, path, k = len(bounds), [], 0 if cells else len(bounds)
     heights, filling = [0] * width, [[] for _ in bounds]
-    if every_node or not cells:
+    if not cells:
         yield heights, filling
     while k < width or path:
         if k < width and heights[k] < bounds[k] and (not k or heights[k] < heights[k - 1]):
             heights[k] += 1  # place the next entry in column k and descend
             path.append(k)
             filling[k].append(len(path))
-            if every_node or len(path) == cells:
+            if len(path) == cells:
                 yield heights, filling
             k = width if len(path) == cells else 0
         else:
@@ -124,10 +127,46 @@ def tableau_walk(bounds: tuple[int, ...], cells: int, every_node: bool = False
             k += 1
 
 
+def listed_counts(bounds: tuple[int, ...], cells: int) -> Counter:
+    """Lists the fillings of 1..m (m <= `cells`) with column k at most `bounds[k]` tall,
+    tallied by column tuple (no trailing zeros). A walk with one iterator per level counts
+    each node's children, and one level above the leaves its grandchildren too."""
+    if cells.__class__ is not int:  # True would list one level
+        raise TypeError(f"cells must be an integer, got {cells!r}")
+    if cells < 0:
+        raise ValueError("cells must be >= 0")
+    kids, level = {}, [()]  # each shape on fewer than `cells` cells: the shapes it grows
+    for _ in range(cells):
+        for shape in level:
+            cols = shape + (0,)
+            kids[shape] = tuple(shape[:k] + (cols[k] + 1,) + shape[k + 1:]
+                                for k in range(min(len(cols), len(bounds)))
+                                if cols[k] < bounds[k] and (not k or cols[k] < cols[k - 1]))
+        level = dict.fromkeys(chain.from_iterable(map(kids.__getitem__, level)))
+    shapes = [*kids, *level]  # walked by number: an int hashes faster than a tuple
+    number = dict(zip(shapes, range(len(shapes)))).__getitem__
+    children = [tuple(map(number, below)) for below in kids.values()].__getitem__
+    tally, stack = Counter([0]), [iter([0])] if cells else []
+    while stack:
+        for node in stack[-1]:  # the number of a shape on len(stack) - 1 cells
+            below = children(node)
+            tally.update(below)
+            if len(stack) + 1 < cells:
+                stack.append(iter(below))
+                break
+            if len(stack) + 1 == cells:  # the grandchildren are leaves
+                tally.update(chain.from_iterable(map(children, below)))
+        else:
+            stack.pop()
+    return Counter(dict(zip(map(shapes.__getitem__, tally), tally.values())))
+
+
 def syt_enumerate(shape: ColumnShape,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[StandardTableau]:
     """Lazily yield the standard fillings of `shape`, bounding `tableau_walk` by its
     columns. Above `cap` cells it raises: listing is for desk-scale validation."""
+    if cap.__class__ is not int:  # True would cap at one cell, 2.5 at two
+        raise TypeError(f"cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if shape.cells > cap:

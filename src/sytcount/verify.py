@@ -4,15 +4,14 @@ reports."""
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import pairwise, product
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
-from .counting import (DEFAULT_ENUMERATION_CAP, _hook_count, syt_count_hlf,
-                       syt_count_hook_product, syt_count_recursive, tableau_walk)
+from .counting import (DEFAULT_ENUMERATION_CAP, _hook_count, listed_counts, syt_count_hlf,
+                       syt_count_hook_product, syt_count_recursive)
 from .gamma import (NegativeEntryError, _recurrence_entry, _two_column_def, alpha,
                     ballot_entry, correction_r, correction_r3, gamma_def, gamma_rec)
 from .report import CheckResult, VerificationReport, run_check, skip_check, timed_report
@@ -35,11 +34,18 @@ def _agree(name: str, scope: str, points: Iterable[tuple], routes: list[Callable
            text: str) -> CheckResult:
     """One case per point, an argument tuple: it passes when every route gives the same
     value there, and `text.format(*point, *values)` describes it, `values` being each
-    route's result in route order."""
+    route's result in route order. A route that raises an `ArithmeticError` fails the
+    case, its exception standing in for its value."""
     def cases():
         for point in points:
-            values = [route(*point) for route in routes]
-            yield text.format(*point, *values), len(set(values)) == 1
+            values, raised = [], False
+            for route in routes:
+                try:
+                    values.append(route(*point))
+                except ArithmeticError as exc:  # a wrong route fails its case, not `verify`
+                    values.append(f"{exc.__class__.__name__}({exc})")
+                    raised = True
+            yield text.format(*point, *values), not raised and len(set(values)) == 1
     return run_check(name, scope, cases())
 
 
@@ -295,12 +301,12 @@ def suite_oracle(max_cells: int | None = None,
     Listing fillings stays at 12 cells at most, and within `cap` (None: the default)."""
     bound = min(_range(max_cells, 12, 1), DEFAULT_ENUMERATION_CAP if cap is None else cap)
     conj_cells, ident_n = _range(max_cells, 20, 1), _range(max_cells, 10, 1)
-    tally = Counter(tuple(h) for h, _ in tableau_walk((bound,) * 6, bound, True))
+    tally = listed_counts((bound,) * 6, bound)
     yield _agree("oracle-triple-agreement", f"shapes with <={bound} cells, <=6 columns",
                  ((ColumnShape(cols),) for n in range(bound + 1)
                   for cols in partitions_at_most(n, 6)),
                  [syt_count_hlf, syt_count_hook_product, syt_count_recursive,
-                  lambda shape: tally[shape.columns + (0,) * (6 - shape.width)]],
+                  lambda shape: tally[shape.columns]],
                  "counts disagree on {}: hook={}, product={}, removal={}, listed={}")
 
     yield _agree("conjugation-invariance", f"shapes with <={conj_cells} cells",

@@ -15,6 +15,7 @@ import sytcount.gamma as gamma
 import sytcount.sequences as seq
 from sytcount import verify
 from sytcount.cli import run
+from sytcount.counting import HookDivisionError
 from sytcount.report import CheckResult, VerificationReport
 from sytcount.shapes import ColumnShape
 from sytcount.verify import run_suite
@@ -336,15 +337,15 @@ def test_oracle_listing_range_stays_capped_under_large_max_cells():
 
 
 def test_oracle_catches_a_dropped_filling(monkeypatch):
-    walk, dropped = verify.tableau_walk, []
+    listed, dropped = verify.listed_counts, []
 
-    def dropping(*args, **kwargs):
-        for index, (heights, filling) in enumerate(walk(*args, **kwargs)):
-            if index == 500:
-                dropped.append(ColumnShape(tuple(h for h in heights if h)))
-            else:
-                yield heights, filling
-    monkeypatch.setattr(verify, "tableau_walk", dropping)
+    def dropping(*args):
+        tally = listed(*args)
+        cols = list(tally)[50]  # one listed filling of this shape goes missing
+        tally[cols] -= 1
+        dropped.append(ColumnShape(cols))
+        return tally
+    monkeypatch.setattr(verify, "listed_counts", dropping)
     checks = {c.name: c for c in run_suite("oracle", max_cells=8).checks}
     triple = checks["oracle-triple-agreement"]
     assert len(dropped) == 1
@@ -431,8 +432,25 @@ def test_agreement_checks_report_the_first_point_where_routes_part(
                                  counterexample=text)
 
 
+def test_routes_that_raise_alike_still_fail_and_other_errors_propagate():
+    def broken(n):
+        raise ZeroDivisionError("no value")
+    record = verify._agree("both-raise", "n<=1", [(0,), (1,)], [broken, broken],
+                           "n={}: {} vs {}")
+    assert record == CheckResult(
+        name="both-raise", scope="n<=1", passed=False, checked=2,
+        counterexample="n=0: ZeroDivisionError(no value) vs ZeroDivisionError(no value)")
+    with pytest.raises(TypeError):  # a bug in a check is not a failing case
+        verify._agree("typed", "n<=0", [(0,)], [broken, lambda n: n + "1"], "{}")
+
+
+def _inexact(count):
+    raise HookDivisionError("planted")
+
+
 # As BROKEN_ROUTES, for routes the off-by-one helper cannot reach: these return records,
-# which `tweak` alters, and gamma_rec is patched in `gamma` too, where it is defined.
+# which `tweak` alters or replaces by an exception, and gamma_rec is patched in `gamma`
+# too, where it is defined.
 BROKEN_RECORD_ROUTES = [
     ("gammaS", "gamma-def-vs-recurrence", 0, "gamma_rec", (4, 7, 2), lambda v: v + 1,
      "s=4, n<=12 (49 entries)", 49, "n=7, i=2: definitional=35, recurrence=36"),
@@ -444,7 +462,23 @@ BROKEN_RECORD_ROUTES = [
     ("ratio", "ratio3-decomposition-exact", 5, "ratio_decomposition", (7,),
      lambda parts: parts._replace(parity=parts.parity + 1), "3<=n<=12", 10,
      "decomposition at n=7 does not sum to the deficit"),
+    ("oracle", "oracle-triple-agreement", 0, "syt_count_hook_product",
+     (ColumnShape((3, 1)),), _inexact, "shapes with <=12 cells, <=6 columns", 227,
+     "counts disagree on 3,1: hook=3, product=HookDivisionError(planted), removal=3, "
+     "listed=3"),
 ]
+
+
+def test_a_route_that_raises_fails_its_case(fresh_sweeps, monkeypatch):
+    # the recurrence subtracts a wrong correction until an entry goes negative at n=24
+    real = gamma.syt_count_hlf
+    monkeypatch.setattr(gamma, "syt_count_hlf",
+                        lambda shape: real(shape) + (shape == ColumnShape((2, 2, 1))))
+    record = run_suite("gamma3").checks[0]
+    assert record == CheckResult(name="gamma-def-vs-recurrence",
+                                 scope="s=3, n<=40 (441 entries)", passed=False,
+                                 checked=441,
+                                 counterexample="n=6, i=2: definitional=9, recurrence=8")
 
 
 @pytest.mark.parametrize("suite, name, position, route, point, tweak, scope, checked, text",

@@ -1,13 +1,13 @@
 import hashlib
-from collections import Counter
 from math import factorial
 
 import pytest
 
 from sytcount import counting
-from sytcount.counting import (HookDivisionError, StandardTableau,
-                               _hook_count, syt_count_hlf, syt_count_hook_product,
+from sytcount.counting import (HookDivisionError, StandardTableau, _hook_count,
+                               listed_counts, syt_count_hlf, syt_count_hook_product,
                                syt_count_recursive, syt_enumerate, tableau_walk)
+from sytcount.sequences import involutions
 from sytcount.shapes import ColumnShape, conjugate, partitions_at_most
 
 
@@ -110,20 +110,44 @@ def test_walk_tallies_need_no_memo(monkeypatch):
         raise AssertionError(f"the walk read a memo for {cols}")
     monkeypatch.setattr(counting, "_removal_count", refuse)
     monkeypatch.setattr(counting, "_hook_count", refuse)
-    tally = Counter(tuple(h) for h, _ in tableau_walk((12,) * 6, 12, every_node=True))
+    tally = listed_counts((12,) * 6, 12)
     shapes = [cols for n in range(13) for cols in partitions_at_most(n, 6)]
     assert len(shapes) == len(tally) == 227
     for cols in shapes:
-        padded = cols + (0,) * (6 - len(cols))
-        assert tally[padded] == syt_count_hook_product(ColumnShape(cols)), cols
+        assert tally[cols] == syt_count_hook_product(ColumnShape(cols)), cols
+
+
+def test_listed_counts_match_the_leaves_of_the_one_shape_walk():
+    for n in range(10):
+        for cols in partitions_at_most(n, max(n, 1)):
+            leaves = sum(1 for _ in tableau_walk(cols, n))
+            assert listed_counts(cols, n)[cols] == leaves, cols
+
+
+def test_listed_counts_on_n_cells_sum_to_the_involutions():
+    for n in range(10):
+        tally = listed_counts((n,) * n, n)
+        on_n_cells = [count for cols, count in tally.items() if sum(cols) == n]
+        assert sum(on_n_cells) == involutions(n)
+
+
+def test_listed_counts_reject_a_negative_cell_count():
+    with pytest.raises(ValueError, match=r"^cells must be >= 0$"):
+        listed_counts((3,), -1)
+
+
+def test_a_deep_listing_does_not_recurse():
+    tally = listed_counts((2000,), 2000)
+    assert tally[(2000,)] == 1 and len(tally) == 2001
 
 
 def test_walk_nodes_are_the_distinct_standard_fillings():
     seen = set()
-    for heights, filling in tableau_walk((8,) * 6, 8, every_node=True):
-        tableau = StandardTableau(tuple(tuple(col) for col in filling if col))
-        assert tableau.is_standard() and heights == [len(col) for col in filling]
-        seen.add(tableau)
+    for m in range(9):  # the nodes of the tree to depth 8 are the leaves of these walks
+        for heights, filling in tableau_walk((8,) * 6, m):
+            tableau = StandardTableau(tuple(tuple(col) for col in filling if col))
+            assert tableau.is_standard() and heights == [len(col) for col in filling]
+            seen.add(tableau)
     assert len(seen) == sum(syt_count_hlf(ColumnShape(cols))
                             for n in range(9) for cols in partitions_at_most(n, 6))
 
