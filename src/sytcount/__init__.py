@@ -20,15 +20,15 @@ from .sequences import (RatioParts, RatioRow, RecurrenceMismatchError,
                         central_binomial, involutions, motzkin, ratio,
                         ratio_decomposition, ratio_table, tau, tau_growth,
                         tau_recurrence_step, tau_series)
-from .shapes import (ColumnShape, ShapeFamilyQuery, conjugate,
-                     enumerate_family, partitions_at_most, r3_shape)
+from .shapes import (ColumnShape, conjugate, enumerate_family,
+                     partitions_at_most, r3_shape)
 from .verify import compare_methods, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnShape", "ShapeFamilyQuery", "conjugate", "enumerate_family",
-    "partitions_at_most", "r3_shape",
+    "ColumnShape", "conjugate", "enumerate_family", "partitions_at_most",
+    "r3_shape",
     "StandardTableau", "syt_count_hlf", "syt_count_recursive", "syt_enumerate",
     "HookDivisionError", "DEFAULT_ENUMERATION_CAP",
     "alpha", "ballot_entry", "gamma_def", "gamma_rec", "correction_r",

@@ -102,11 +102,19 @@ def syt_count_recursive(shape: ColumnShape) -> int:
     return _removal_count(shape.columns)
 
 
+def _check_cells(cells: int) -> None:
+    if cells.__class__ is not int:  # True would list one level
+        raise TypeError(f"cells must be an integer, got {cells!r}")
+    if cells < 0:
+        raise ValueError("cells must be >= 0")
+
+
 def tableau_walk(bounds: tuple[int, ...], cells: int
                  ) -> Iterator[tuple[list[int], list[list[int]]]]:
     """Depth-first walk of the fillings of 1..`cells` with column k at most `bounds[k]`
     tall; a child adds m + 1 at a corner, trying columns left to right. Yields the live
     `(heights, filling)` at each leaf."""
+    _check_cells(cells)
     width, path, k = len(bounds), [], 0 if cells else len(bounds)
     heights, filling = [0] * width, [[] for _ in bounds]
     if not cells:
@@ -131,10 +139,7 @@ def listed_counts(bounds: tuple[int, ...], cells: int) -> Counter:
     """Lists the fillings of 1..m (m <= `cells`) with column k at most `bounds[k]` tall,
     tallied by column tuple (no trailing zeros). A walk with one iterator per level counts
     each node's children, and one level above the leaves its grandchildren too."""
-    if cells.__class__ is not int:  # True would list one level
-        raise TypeError(f"cells must be an integer, got {cells!r}")
-    if cells < 0:
-        raise ValueError("cells must be >= 0")
+    _check_cells(cells)
     kids, level = {}, [()]  # each shape on fewer than `cells` cells: the shapes it grows
     for _ in range(cells):
         for shape in level:

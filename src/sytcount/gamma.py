@@ -238,19 +238,6 @@ class GammaTable:
     method: str
     rows: list[list[int]]
 
-    @property
-    def max_n(self) -> int:
-        return len(self.rows) - 1
-
-    def entry(self, n: int, i: int) -> int:
-        if not 0 <= n < len(self.rows):
-            raise IndexError(f"row {n} not in table (max {self.max_n})")
-        row = self.rows[n]
-        return row[i] if 0 <= i < len(row) else 0
-
-    def row_sum(self, n: int) -> int:
-        return sum(self.rows[n])
-
 
 def _two_column_def(n: int, i: int) -> int:
     cols = (n - i, i) if i else ((n,) if n else ())

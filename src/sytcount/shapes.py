@@ -1,9 +1,9 @@
-"""Shapes in the column-length convention, and the constrained shape families.
+"""Shapes in the column-length convention, and the shape families of a width bound.
 
 A shape is stored as the weakly decreasing list of its column lengths; every
-family constraint used elsewhere (the second-minus-third column difference,
-equal adjacent columns) is a statement about that list, with the convention
-that columns beyond the width have length 0.
+constraint used elsewhere (the second-minus-third column difference, equal
+adjacent columns) is a statement about that list, with the convention that
+columns beyond the width have length 0.
 """
 
 from __future__ import annotations
@@ -68,30 +68,6 @@ def conjugate(shape: ColumnShape) -> ColumnShape:
     return ColumnShape(tuple(sum(1 for c in cols if c > r) for r in range(cols[0])))
 
 
-@dataclass(frozen=True)
-class ShapeFamilyQuery:
-    """Constraints picking out a family of shapes with a fixed cell count.
-
-    ``second_third_diff`` fixes c2 - c3 and ``equal_pair = j`` requires
-    c_j = c_{j+1}; both read missing columns as length 0.
-    """
-
-    cells: int
-    max_width: int
-    second_third_diff: int | None = None
-    equal_pair: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.cells < 0:
-            raise ValueError("cells must be >= 0")
-        if self.max_width < 1:
-            raise ValueError("max_width must be >= 1")
-        if self.second_third_diff is not None and self.second_third_diff < 0:
-            raise ValueError("second_third_diff must be >= 0")
-        if self.equal_pair is not None and self.equal_pair < 1:
-            raise ValueError("equal_pair must be >= 1")
-
-
 # typed: 6.0 == 6, so an untyped cache would answer a float from an int's entry
 @lru_cache(maxsize=None, typed=True)
 def partitions_at_most(cells: int, width: int) -> tuple[tuple[int, ...], ...]:
@@ -119,18 +95,10 @@ def partitions_at_most(cells: int, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _column(cols: tuple[int, ...], j: int) -> int:
-    return cols[j - 1] if j <= len(cols) else 0
-
-
-def enumerate_family(query: ShapeFamilyQuery) -> Iterator[ColumnShape]:
-    """Yield every shape matching `query` exactly once, in lexicographically
-    decreasing column-list order."""
-    diff, pair = query.second_third_diff, query.equal_pair
-    for cols in partitions_at_most(query.cells, query.max_width):
-        if ((diff is None or _column(cols, 2) - _column(cols, 3) == diff)
-                and (pair is None or _column(cols, pair) == _column(cols, pair + 1))):
-            yield ColumnShape(cols)
+def enumerate_family(cells: int, max_width: int) -> Iterator[ColumnShape]:
+    """Yield every shape on `cells` cells with at most `max_width` columns exactly once, a
+    validated ColumnShape, in lexicographically decreasing column-list order."""
+    yield from map(ColumnShape, partitions_at_most(cells, max_width))
 
 
 def r3_shape(n: int, i: int) -> ColumnShape | None:

@@ -5,21 +5,20 @@ reports."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import pairwise, product
+from functools import cache, partial
+from itertools import product
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .counting import (DEFAULT_ENUMERATION_CAP, _hook_count, listed_counts, syt_count_hlf,
                        syt_count_hook_product, syt_count_recursive)
-from .gamma import (NegativeEntryError, _recurrence_entry, _two_column_def, alpha,
-                    ballot_entry, correction_r, correction_r3, gamma_def, gamma_rec)
+from .gamma import (_recurrence_entry, _two_column_def, alpha, ballot_entry, correction_r,
+                    correction_r3, gamma_def, gamma_rec)
 from .report import CheckResult, VerificationReport, run_check, skip_check, timed_report
-from .sequences import (RecurrenceMismatchError, catalan, central_binomial,
-                        involutions, motzkin, parity_indicator, ratio, ratio_decomposition,
-                        tau, tau_growth, tau_recurrence_step, tau_series)
-from .shapes import (ColumnShape, ShapeFamilyQuery, conjugate, enumerate_family,
-                     partitions_at_most)
+from .sequences import (catalan, central_binomial, involutions, motzkin, parity_indicator,
+                        ratio, ratio_decomposition, tau, tau_growth, tau_recurrence_step,
+                        tau_series)
+from .shapes import ColumnShape, conjugate, enumerate_family, partitions_at_most
 
 
 def _range(max_cells: int | None, default: int, divisor: int = 0) -> int:
@@ -106,22 +105,20 @@ def compare_methods(s: int, max_n: int) -> VerificationReport:
 
 
 def _recurrence_identity_check(s: int, max_n: int) -> CheckResult:
-    """The row recurrence applied to the definitional previous row, so the recurrence
-    itself is what gets tested; those rows are validated-shape sums, and match gamma_def."""
-    def row(n):
+    """The row recurrence applied to the previous validated-shape row, so the recurrence
+    itself is what gets tested, against that row's own entry and against gamma_def."""
+    @cache
+    def row(n):  # built once per n, from validated shapes and their hook counts
         entries = [0] * (n // 2 + 1)
-        for shape in enumerate_family(ShapeFamilyQuery(cells=n, max_width=s)):
+        for shape in enumerate_family(n, s):
             entries[shape.column(2) - shape.column(3)] += syt_count_hlf(shape)
         return entries
-    def cases():
-        for n, (prev_row, here) in enumerate(pairwise(map(row, range(max_n + 1))), 1):
-            for i, value in enumerate(here):
-                try:
-                    ok = _recurrence_entry(s, n, i, prev_row) == value == gamma_def(s, n, i)
-                except NegativeEntryError:
-                    ok = False
-                yield (f"recurrence misses definitional value at s={s}, n={n}, i={i}", ok)
-    return run_check(f"recurrence-identity-s{s}", f"1<=n<={max_n}", cases())
+    return _agree(f"recurrence-identity-s{s}", f"1<=n<={max_n}",
+                  ((s, n, i) for n in range(1, max_n + 1) for i in range(n // 2 + 1)),
+                  [lambda s, n, i: _recurrence_entry(s, n, i, row(n - 1)),
+                   lambda s, n, i: row(n)[i], gamma_def],
+                  "recurrence misses definitional value at s={}, n={}, i={}: "
+                  "recurrence={}, shapes={}, gamma_def={}")
 
 
 def suite_gamma3(max_cells: int | None = None) -> Iterator[CheckResult]:
@@ -154,16 +151,17 @@ def suite_gammas(max_cells: int | None = None) -> Iterator[CheckResult]:
 
 # --- totals ----------------------------------------------------------------------
 
-def _step_check(s: int, n_lo: int, n_hi: int) -> CheckResult:
-    def cases():
-        for n in range(n_lo, n_hi + 1):
-            try:
-                tau_recurrence_step(s, n, method="definition")
-            except RecurrenceMismatchError as exc:
-                yield str(exc), False
-            else:
-                yield "", True
-    return run_check(f"tau{s}-step-breakdown", f"{n_lo}<=n<={n_hi}", cases())
+def _step_check(s: int, max_n: int) -> CheckResult:
+    """The totals step on the definitional rows against the definitional totals, from
+    the first step (n = 1 for s = 2, else n = s) to `max_n`."""
+    name = f"tau{s}-step-breakdown"
+    lo = 1 if s == 2 else s
+    if s > 2 and max_n < s:
+        return skip_check(name, f"needs n >= {s}")
+    return _agree(name, f"{lo}<=n<={max_n}", product([s], range(lo, max_n + 1)),
+                  [lambda s, n: tau_recurrence_step(s, n, "definition").value,
+                   lambda s, n: tau(s, n, "definition")],
+                  "tau_{}({}) step breakdown: step={}, total={}")
 
 
 def _step_terms(s: int, n: int) -> tuple[int, ...]:
@@ -183,14 +181,11 @@ def suite_tau(max_cells: int | None = None) -> Iterator[CheckResult]:
     yield _agree("tau2-three-methods", f"n<={max2}", product([2], range(max2 + 1)),
                  [by_def, by_rec, closed, lambda s, n: central_binomial(n)],
                  "tau_{}({}) routes disagree")
-    yield _step_check(2, 1, max2)
+    yield _step_check(2, max2)
 
     yield _agree("tau3-motzkin", f"n<={max3}", product([3], range(max3 + 1)),
                  [by_def, by_rec, lambda s, n: motzkin(n)], "tau_{}({}) routes disagree")
-    if max3 >= 3:
-        yield _step_check(3, 3, max3)
-    else:
-        yield skip_check("tau3-step-breakdown", "needs n >= 3")
+    yield _step_check(3, max3)
 
     yield _agree("tau3-step-anchors", "n in {4, 6}", [(3, n) for n in (4, 6) if n <= max3],
                  [_step_terms, lambda s, n: anchors[s, n]], "anchor at n={1}: {2} != {3}")
@@ -199,10 +194,7 @@ def suite_tau(max_cells: int | None = None) -> Iterator[CheckResult]:
                  product((4, 5), range(max45 + 1)), [by_def, by_rec],
                  "tau_{}({}) definition != recurrence")
     for s in (4, 5):
-        if max45 >= s:
-            yield _step_check(s, s, max45)
-        else:
-            yield skip_check(f"tau{s}-step-breakdown", f"needs n >= {s}")
+        yield _step_check(s, max45)
 
     yield _agree("tau4-step-anchor", "n=4", [(4, 4)] if max45 >= 4 else [],
                  [_step_terms, lambda s, n: anchors[s, n]], "tau_4(4) anchor: {2}")

@@ -393,6 +393,9 @@ BROKEN_ROUTES = [
      "columnwise sum fails at (7,2)"),
     ("alpha", "alpha-catalan-diagonal", 3, "catalan", (3,), "k<=6", 7,
      "alpha(6,3) != catalan(3)"),
+    ("gammaS", "recurrence-identity-s4", 1, "gamma_def", (4, 7, 2), "1<=n<=12", 48,
+     "recurrence misses definitional value at s=4, n=7, i=2: recurrence=35, shapes=35, "
+     "gamma_def=36"),
     ("gamma3", "r3-equals-generic-correction", 2, "correction_r3", (7, 2), "n<=12", 36,
      "correction mismatch at n=7, i=2"),
     ("gamma3", "gamma3-motzkin-row-sums", 3, "motzkin", (7,), "n<=12", 13,
@@ -448,12 +451,25 @@ def _inexact(count):
     raise HookDivisionError("planted")
 
 
+def _mismatch(terms):
+    raise seq.RecurrenceMismatchError("planted")
+
+
 # As BROKEN_ROUTES, for routes the off-by-one helper cannot reach: these return records,
-# which `tweak` alters or replaces by an exception, and gamma_rec is patched in `gamma`
-# too, where it is defined.
+# which `tweak` alters, or `tweak` replaces the value by an exception. A route that `gamma`
+# also reads (gamma_rec, syt_count_hlf) is patched there too.
 BROKEN_RECORD_ROUTES = [
     ("gammaS", "gamma-def-vs-recurrence", 0, "gamma_rec", (4, 7, 2), lambda v: v + 1,
      "s=4, n<=12 (49 entries)", 49, "n=7, i=2: definitional=35, recurrence=36"),
+    ("gamma3", "recurrence-identity-s3", 1, "syt_count_hlf", (ColumnShape((2, 2, 1)),),
+     _inexact, "1<=n<=12", 48, "recurrence misses definitional value at s=3, n=5, i=0: "
+     "recurrence=7, shapes=HookDivisionError(planted), gamma_def=7"),
+    ("tau", "tau3-step-breakdown", 3, "tau_recurrence_step", (3, 7, "definition"),
+     lambda t: replace(t, main=t.main + 1), "3<=n<=12", 10,
+     "tau_3(7) step breakdown: step=128, total=127"),
+    ("tau", "tau3-step-breakdown", 3, "tau_recurrence_step", (3, 7, "definition"),
+     _mismatch, "3<=n<=12", 10,
+     "tau_3(7) step breakdown: step=RecurrenceMismatchError(planted), total=127"),
     ("tau", "tau3-step-anchors", 4, "tau_recurrence_step", (3, 6, "definition"),
      lambda t: replace(t, main=t.main + 1), "n in {4, 6}", 2,
      "anchor at n=6: (64, 0, 7, 5, 52) != (63, 0, 7, 5, 51)"),

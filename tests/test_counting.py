@@ -136,6 +136,17 @@ def test_listed_counts_reject_a_negative_cell_count():
         listed_counts((3,), -1)
 
 
+@pytest.mark.parametrize("cells, error, message", [
+    (1.5, TypeError, "cells must be an integer, got 1.5"),
+    (True, TypeError, "cells must be an integer, got True"),
+    (-1, ValueError, "cells must be >= 0")])
+def test_both_walks_check_the_cell_count_alike(cells, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        next(tableau_walk((3,), cells))
+    with pytest.raises(error, match=f"^{message}$"):
+        listed_counts((3,), cells)
+
+
 def test_a_deep_listing_does_not_recurse():
     tally = listed_counts((2000,), 2000)
     assert tally[(2000,)] == 1 and len(tally) == 2001

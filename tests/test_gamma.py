@@ -13,7 +13,7 @@ from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
                             entry_corrections, gamma_def, gamma_rec,
                             row_correction_terms, seed_rows)
 from sytcount.sequences import catalan, tau
-from sytcount.shapes import ColumnShape, ShapeFamilyQuery, enumerate_family
+from sytcount.shapes import ColumnShape, enumerate_family
 from sytcount.verify import compare_methods
 
 
@@ -170,18 +170,17 @@ def test_two_column_table_is_the_alpha_triangle():
     table = build_table(2, 12, RECURRENCE)
     for n in range(13):
         for i in range(n // 2 + 1):
-            assert table.entry(n, i) == alpha(n, i)
-        assert table.row_sum(n) == tau(2, n, "definition")
+            assert table.rows[n][i] == alpha(n, i)
+        assert sum(table.rows[n]) == tau(2, n, "definition")
 
 
 def test_table_entry_axioms():
     table = build_table(4, 12, DEFINITIONAL)
-    assert table.entry(0, 0) == 1
-    assert table.entry(7, 5) == 0          # beyond the triangular boundary
-    with pytest.raises(IndexError):
-        table.entry(13, 0)
+    assert table.rows[0] == [1]
+    assert len(table.rows) == 13           # rows 0..12 and no more
     for n in range(13):
-        assert table.row_sum(n) == tau(4, n, "definition")
+        assert len(table.rows[n]) == n // 2 + 1   # nothing beyond the triangular boundary
+        assert sum(table.rows[n]) == tau(4, n, "definition")
 
 
 def test_table_serialization(capsys):
@@ -208,19 +207,22 @@ def test_compare_methods_reports():
         compare_methods(3, -1)
 
 
-def _validated_sum(query):
-    return sum(syt_count_hlf(shape) for shape in enumerate_family(query))
+def _validated_sum(s, n, i, j=None):
+    """The hook counts of the shapes on n cells with at most s columns, c2 - c3 = i and,
+    for a given j, c_j = c_(j+1): a brute filter over ColumnShape.column."""
+    return sum(syt_count_hlf(shape) for shape in enumerate_family(n, s)
+               if shape.column(2) - shape.column(3) == i
+               and (j is None or shape.column(j) == shape.column(j + 1)))
 
 
 def test_bucket_sums_equal_validated_shape_sums():
     for s in range(3, 8):
         for n in range(29):
             for i in range(n // 2 + 2):  # the last bucket is always empty
-                family = {"cells": n, "max_width": s, "second_third_diff": i}
-                assert gamma_def(s, n, i) == _validated_sum(ShapeFamilyQuery(**family))
+                assert gamma_def(s, n, i) == _validated_sum(s, n, i)
                 for j in range(1, s):
-                    query = ShapeFamilyQuery(**family, equal_pair=j)
-                    assert correction_r(s, j, n, i) == _validated_sum(query), query
+                    expected = _validated_sum(s, n, i, j)
+                    assert correction_r(s, j, n, i) == expected, (s, j, n, i)
 
 
 def test_float_indices_raise_a_type_error():

@@ -2,12 +2,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from sytcount.shapes import (ColumnShape, ShapeFamilyQuery, conjugate,
-                             enumerate_family, partitions_at_most, r3_shape)
-
-
-def columns_in(query):
-    return [shape.columns for shape in enumerate_family(query)]
+from sytcount.shapes import (ColumnShape, conjugate, enumerate_family, partitions_at_most,
+                             r3_shape)
 
 
 def test_columns_must_be_weakly_decreasing_and_positive():
@@ -79,55 +75,27 @@ def test_conjugate_is_an_involution_preserving_cells():
             assert flipped.cells == shape.cells
 
 
-def test_query_validation():
+def test_family_validation():
+    with pytest.raises(TypeError):
+        next(enumerate_family(4.0, 3))
+    with pytest.raises(TypeError):
+        next(enumerate_family(4, True))
     with pytest.raises(ValueError):
-        ShapeFamilyQuery(cells=-1, max_width=3)
+        next(enumerate_family(-1, 3))
     with pytest.raises(ValueError):
-        ShapeFamilyQuery(cells=4, max_width=0)
-    with pytest.raises(ValueError):
-        ShapeFamilyQuery(cells=4, max_width=3, second_third_diff=-1)
-    with pytest.raises(ValueError):
-        ShapeFamilyQuery(cells=4, max_width=3, equal_pair=0)
+        next(enumerate_family(4, 0))
 
 
 def test_family_examples():
-    assert columns_in(ShapeFamilyQuery(4, 3, second_third_diff=0)) == [(4,), (2, 1, 1)]
-    assert columns_in(ShapeFamilyQuery(6, 3, second_third_diff=2)) == [(4, 2)]
-    # (1,1,1) fails c3 = c4 because c4 reads as 0
-    assert columns_in(ShapeFamilyQuery(3, 4, second_third_diff=0, equal_pair=3)) == [(3,)]
+    assert list(enumerate_family(4, 3)) == [
+        ColumnShape((4,)), ColumnShape((3, 1)), ColumnShape((2, 2)), ColumnShape((2, 1, 1))]
+    assert list(enumerate_family(0, 3)) == [ColumnShape(())]
 
 
 def test_family_order_is_lex_decreasing_without_duplicates():
-    listed = columns_in(ShapeFamilyQuery(9, 4))
+    listed = [shape.columns for shape in enumerate_family(9, 4)]
     assert listed == sorted(listed, reverse=True)
     assert len(listed) == len(set(listed))
-
-
-def test_empty_family_and_degenerate_zero_cells():
-    assert columns_in(ShapeFamilyQuery(2, 3, second_third_diff=5)) == []
-    # the empty shape answers diff=0 queries at zero cells
-    assert columns_in(ShapeFamilyQuery(0, 3, second_third_diff=0)) == [()]
-    assert columns_in(ShapeFamilyQuery(0, 3, second_third_diff=1)) == []
-    assert columns_in(ShapeFamilyQuery(0, 5, second_third_diff=0, equal_pair=4)) == [()]
-
-
-def test_families_partition_the_bounded_partitions():
-    # the diff classes cover every partition with at most s columns exactly once
-    for s in range(3, 7):
-        for n in range(26):
-            everything = sorted(partitions_at_most(n, s), reverse=True)
-            collected = []
-            for i in range(n // 2 + 2):
-                collected.extend(columns_in(ShapeFamilyQuery(n, s, second_third_diff=i)))
-            assert len(collected) == len(set(collected))
-            assert sorted(collected, reverse=True) == everything
-
-
-def test_equal_pair_constraint_holds_literally():
-    for n in range(16):
-        for j in (1, 2, 3, 4):
-            for shape in enumerate_family(ShapeFamilyQuery(n, 4, equal_pair=j)):
-                assert shape.column(j) == shape.column(j + 1)
 
 
 def test_r3_shape_examples():
@@ -150,8 +118,9 @@ def test_r3_shape_validates_arguments():
 def test_r3_shape_is_the_unique_family_member():
     for n in range(1, 26):
         for i in range(1, n // 2 + 1):
-            members = list(enumerate_family(ShapeFamilyQuery(
-                n - 1, 3, second_third_diff=i - 1, equal_pair=1)))
+            members = [shape for shape in enumerate_family(n - 1, 3)  # a brute filter
+                       if shape.column(1) == shape.column(2)
+                       and shape.column(2) - shape.column(3) == i - 1]
             shape = r3_shape(n, i)
             if shape is None:
                 assert members == []
@@ -160,21 +129,6 @@ def test_r3_shape_is_the_unique_family_member():
                 assert shape.cells == n - 1
                 assert shape.column(1) == shape.column(2)
                 assert shape.column(2) - shape.column(3) == i - 1
-
-
-def test_bucketed_families_match_a_brute_filter_in_order():
-    for s in range(1, 7):
-        for n in range(31):
-            shapes = [ColumnShape(cols) for cols in partitions_at_most(n, s)]
-            for diff in (None, *range(n // 2 + 2)):
-                for pair in (None, *range(1, s + 1)):
-                    expected = [
-                        shape.columns for shape in shapes
-                        if (diff is None or shape.column(2) - shape.column(3) == diff)
-                        and (pair is None or shape.column(pair) == shape.column(pair + 1))]
-                    query = ShapeFamilyQuery(cells=n, max_width=s,
-                                             second_third_diff=diff, equal_pair=pair)
-                    assert columns_in(query) == expected, query
 
 
 def test_partitions_match_a_brute_generator_in_order():
