@@ -138,7 +138,7 @@ def tableau_walk(bounds: tuple[int, ...], cells: int
 def listed_counts(bounds: tuple[int, ...], cells: int) -> Counter:
     """Lists the fillings of 1..m (m <= `cells`) with column k at most `bounds[k]` tall,
     tallied by column tuple (no trailing zeros). A walk with one iterator per level counts
-    each node's children, and one level above the leaves its grandchildren too."""
+    each node's children; three levels above the leaves it lists the rest level by level."""
     _check_cells(cells)
     kids, level = {}, [()]  # each shape on fewer than `cells` cells: the shapes it grows
     for _ in range(cells):
@@ -156,11 +156,12 @@ def listed_counts(bounds: tuple[int, ...], cells: int) -> Counter:
         for node in stack[-1]:  # the number of a shape on len(stack) - 1 cells
             below = children(node)
             tally.update(below)
-            if len(stack) + 1 < cells:
+            if len(stack) + 3 < cells:
                 stack.append(iter(below))
                 break
-            if len(stack) + 1 == cells:  # the grandchildren are leaves
-                tally.update(chain.from_iterable(map(children, below)))
+            for _ in range(cells - len(stack)):  # each filling below is one list entry
+                below = [*chain.from_iterable(map(children, below))]
+                tally.update(below)
         else:
             stack.pop()
     return Counter(dict(zip(map(shapes.__getitem__, tally), tally.values())))

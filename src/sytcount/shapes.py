@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import ge, sub
 from typing import Iterator
 
 
@@ -22,9 +24,9 @@ class ColumnShape:
     def __post_init__(self) -> None:
         cols = tuple(self.columns)
         object.__setattr__(self, "columns", cols)
-        if any(type(c) is not int or c < 1 for c in cols):
+        if cols and ({*map(type, cols)} != {int} or min(cols) < 1):  # no bool or float
             raise ValueError(f"column lengths must be positive integers: {cols!r}")
-        if any(cols[k] < cols[k + 1] for k in range(len(cols) - 1)):
+        if not all(map(ge, cols, cols[1:])):
             raise ValueError(f"column lengths must be weakly decreasing: {cols!r}")
 
     @property
@@ -60,12 +62,16 @@ class ColumnShape:
         return self.to_text()
 
 
+def _transpose(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """Row lengths of the diagram with column lengths `cols`, longest first: row length k
+    repeats c_k - c_(k+1) times, with c_(width+1) = 0."""
+    return tuple(chain.from_iterable(map(repeat, range(len(cols), 0, -1),
+                                         map(sub, cols[::-1], (0, *cols[:0:-1])))))
+
+
 def conjugate(shape: ColumnShape) -> ColumnShape:
     """Transpose of a shape: row lengths of the diagram, read as column lengths."""
-    cols = shape.columns
-    if not cols:
-        return shape
-    return ColumnShape(tuple(sum(1 for c in cols if c > r) for r in range(cols[0])))
+    return ColumnShape(_transpose(shape.columns))
 
 
 # typed: 6.0 == 6, so an untyped cache would answer a float from an int's entry

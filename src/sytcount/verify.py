@@ -18,7 +18,7 @@ from .report import CheckResult, VerificationReport, run_check, skip_check, time
 from .sequences import (catalan, central_binomial, involutions, motzkin, parity_indicator,
                         ratio, ratio_decomposition, tau, tau_growth, tau_recurrence_step,
                         tau_series)
-from .shapes import ColumnShape, conjugate, enumerate_family, partitions_at_most
+from .shapes import ColumnShape, _transpose, enumerate_family, partitions_at_most
 
 
 def _range(max_cells: int | None, default: int, divisor: int = 0) -> int:
@@ -32,9 +32,10 @@ def _range(max_cells: int | None, default: int, divisor: int = 0) -> int:
 def _agree(name: str, scope: str, points: Iterable[tuple], routes: list[Callable],
            text: str) -> CheckResult:
     """One case per point, an argument tuple: it passes when every route gives the same
-    value there, and `text.format(*point, *values)` describes it, `values` being each
-    route's result in route order. A route that raises an `ArithmeticError` fails the
-    case, its exception standing in for its value."""
+    value there. A failing case is described by `text.format(*point, *values)`, `values`
+    being each route's result in route order; a passing one is never formatted. A route
+    that raises an `ArithmeticError` fails the case, its exception standing in for its
+    value."""
     def cases():
         for point in points:
             values, raised = [], False
@@ -44,7 +45,8 @@ def _agree(name: str, scope: str, points: Iterable[tuple], routes: list[Callable
                 except ArithmeticError as exc:  # a wrong route fails its case, not `verify`
                     values.append(f"{exc.__class__.__name__}({exc})")
                     raised = True
-            yield text.format(*point, *values), not raised and len(set(values)) == 1
+            ok = not raised and len(set(values)) == 1
+            yield None if ok else text.format(*point, *values), ok
     return run_check(name, scope, cases())
 
 
@@ -152,15 +154,15 @@ def suite_gammas(max_cells: int | None = None) -> Iterator[CheckResult]:
 # --- totals ----------------------------------------------------------------------
 
 def _step_check(s: int, max_n: int) -> CheckResult:
-    """The totals step on the definitional rows against the definitional totals, from
-    the first step (n = 1 for s = 2, else n = s) to `max_n`."""
+    """The totals step on the definitional rows against the series totals, which read
+    no table row, from the first step (n = 1 for s = 2, else n = s) to `max_n`."""
     name = f"tau{s}-step-breakdown"
     lo = 1 if s == 2 else s
     if s > 2 and max_n < s:
         return skip_check(name, f"needs n >= {s}")
     return _agree(name, f"{lo}<=n<={max_n}", product([s], range(lo, max_n + 1)),
                   [lambda s, n: tau_recurrence_step(s, n, "definition").value,
-                   lambda s, n: tau(s, n, "definition")],
+                   tau_series],
                   "tau_{}({}) step breakdown: step={}, total={}")
 
 
@@ -304,7 +306,7 @@ def suite_oracle(max_cells: int | None = None,
     yield _agree("conjugation-invariance", f"shapes with <={conj_cells} cells",
                  ((ColumnShape(cols),) for n in range(conj_cells + 1)
                   for cols in partitions_at_most(n, max(n, 1))),
-                 [syt_count_hlf, lambda shape: syt_count_hlf(conjugate(shape))],
+                 [syt_count_hlf, lambda shape: _hook_count(_transpose(shape.columns))],
                  "count changed under conjugation of {}")
 
     def counts(n):  # the count of each shape on n cells

@@ -435,6 +435,17 @@ def test_agreement_checks_report_the_first_point_where_routes_part(
                                  counterexample=text)
 
 
+def test_conjugation_invariance_counts_the_transpose(monkeypatch):
+    # 2,1,1 is the transpose of 3,1; a route that skipped the transpose would part there
+    real = verify._hook_count
+    monkeypatch.setattr(verify, "_hook_count",
+                        lambda cols: real(cols) + (cols == (2, 1, 1)))
+    record = run_suite("oracle", max_cells=12).checks[1]
+    assert record == CheckResult(name="conjugation-invariance",
+                                 scope="shapes with <=12 cells", passed=False, checked=272,
+                                 counterexample="count changed under conjugation of 3,1")
+
+
 def test_routes_that_raise_alike_still_fail_and_other_errors_propagate():
     def broken(n):
         raise ZeroDivisionError("no value")
@@ -445,6 +456,39 @@ def test_routes_that_raise_alike_still_fail_and_other_errors_propagate():
         counterexample="n=0: ZeroDivisionError(no value) vs ZeroDivisionError(no value)")
     with pytest.raises(TypeError):  # a bug in a check is not a failing case
         verify._agree("typed", "n<=0", [(0,)], [broken, lambda n: n + "1"], "{}")
+
+
+def test_agree_formats_only_the_failing_cases():
+    formatted = []
+
+    class Point(int):  # a point that notes each time a text shows it
+        def __format__(self, spec):
+            formatted.append(int(self))
+            return str(int(self))
+    record = verify._agree("formats", "n<=2", [(Point(n),) for n in range(3)],
+                           [int, lambda n: n + (n == 1)], "n={}: {} vs {}")
+    assert record == CheckResult(name="formats", scope="n<=2", passed=False, checked=3,
+                                 counterexample="n=1: 1 vs 2")
+    assert formatted == [1]
+
+
+def test_the_step_breakdown_totals_do_not_share_the_step_rows(monkeypatch):
+    # The step and the definitional totals both read the same table rows; with both off
+    # by one at (3, 7) only an independent total sees the step go wrong.
+    step, tau = verify.tau_recurrence_step, verify.tau
+
+    def step_off(s, n, method):
+        terms = step(s, n, method)
+        return replace(terms, main=terms.main + 1) if (s, n) == (3, 7) else terms
+
+    def tau_off(s, n, method):
+        return tau(s, n, method) + ((s, n) == (3, 7))
+    monkeypatch.setattr(verify, "tau_recurrence_step", step_off)
+    monkeypatch.setattr(verify, "tau", tau_off)
+    record = run_suite("tau", max_cells=12).checks[3]
+    assert record == CheckResult(
+        name="tau3-step-breakdown", scope="3<=n<=12", passed=False, checked=10,
+        counterexample="tau_3(7) step breakdown: step=128, total=127")
 
 
 def _inexact(count):

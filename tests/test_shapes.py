@@ -6,20 +6,20 @@ from sytcount.shapes import (ColumnShape, conjugate, enumerate_family, partition
                              r3_shape)
 
 
-def test_columns_must_be_weakly_decreasing_and_positive():
-    with pytest.raises(ValueError):
-        ColumnShape((1, 2))
-    with pytest.raises(ValueError):
-        ColumnShape((2, 0))
-    with pytest.raises(ValueError):
-        ColumnShape((-1,))
-
-
-def test_columns_must_be_plain_integers():
-    with pytest.raises(ValueError):
-        ColumnShape((True, True))
-    with pytest.raises(ValueError):
-        ColumnShape((2.0, 1))
+@pytest.mark.parametrize("cols, message", [
+    ((2, 0), "positive integers"),
+    ((-1,), "positive integers"),
+    ((2, 0, 1), "positive integers"),  # also increasing: positivity is checked first
+    ((True,), "positive integers"),
+    ((True, True), "positive integers"),
+    ((1.0,), "positive integers"),
+    ((2.0, 1), "positive integers"),
+    (("a", 1), "positive integers"),
+    ((1, 2), "weakly decreasing"),
+])
+def test_columns_must_be_positive_plain_integers_then_weakly_decreasing(cols, message):
+    with pytest.raises(ValueError, match=f"^column lengths must be {message}: "):
+        ColumnShape(cols)
 
 
 def test_cells_width_and_empty_shape():
@@ -64,6 +64,13 @@ def test_text_round_trip():
 ])
 def test_conjugate_examples(cols, expected):
     assert conjugate(ColumnShape(cols)).columns == expected
+
+
+def test_conjugate_reads_each_row_off_the_columns():
+    for n in range(21):
+        for cols in partitions_at_most(n, max(n, 1)):
+            rows = tuple(sum(1 for c in cols if c > r) for r in range(max(cols, default=0)))
+            assert conjugate(ColumnShape(cols)).columns == rows, cols
 
 
 def test_conjugate_is_an_involution_preserving_cells():
