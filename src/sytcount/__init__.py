@@ -3,14 +3,13 @@
 Counts are arbitrary-precision integers and ratios are exact rationals
 throughout; no floating point enters any counting path. The same quantities
 are computed along independent routes (Frobenius and cell-by-cell hook formulas,
-corner removal, enumeration, recurrences, corner-growth sweeps, Bessel determinants)
-and the verification suites cross-check the routes against each other and
-against independently generated reference sequences.
+corner removal, one walk that lists the fillings, recurrences, corner-growth sweeps,
+Bessel determinants) and the verification suites cross-check the routes against
+each other and against independently generated reference sequences.
 """
 
-from .counting import (DEFAULT_ENUMERATION_CAP, HookDivisionError,
-                       StandardTableau, syt_count_hlf, syt_count_recursive,
-                       syt_enumerate)
+from .counting import (DEFAULT_ENUMERATION_CAP, HookDivisionError, syt_count_hlf,
+                       syt_count_recursive)
 from .gamma import (CorrectionTerm, GammaTable, NegativeEntryError, alpha,
                     ballot_entry, build_table, correction_r, correction_r3,
                     gamma_def, gamma_rec)
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ColumnShape", "conjugate", "enumerate_family", "partitions_at_most",
     "r3_shape",
-    "StandardTableau", "syt_count_hlf", "syt_count_recursive", "syt_enumerate",
+    "syt_count_hlf", "syt_count_recursive",
     "HookDivisionError", "DEFAULT_ENUMERATION_CAP",
     "alpha", "ballot_entry", "gamma_def", "gamma_rec", "correction_r",
     "correction_r3", "GammaTable", "CorrectionTerm", "build_table",

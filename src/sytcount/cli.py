@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 from typing import Iterable, Sequence
 
-from .counting import DEFAULT_ENUMERATION_CAP, syt_count_hlf, syt_enumerate
+from .counting import DEFAULT_ENUMERATION_CAP, listed_counts, syt_count_hlf
 from .gamma import TABLE_METHODS, build_table, gamma_def, gamma_rec
 from .sequences import (CLOSED_FORMS, TAU_METHODS, RatioParts, ratio_decomposition,
                         ratio_table, tau)
@@ -175,12 +175,11 @@ def _cmd_oracle(args, parser) -> tuple[str, int]:
     if args.oracle_cap < 0:
         parser.error("--oracle-cap must be >= 0")
     shape = _parse_shape(parser, args.shape)
-    try:
-        count = sum(1 for _ in syt_enumerate(shape, cap=args.oracle_cap))
-    except ValueError as exc:
-        parser.error(f"--shape: {exc} (raise --oracle-cap to override)")
-        raise AssertionError
-    return str(count), 0
+    if shape.cells > args.oracle_cap:
+        parser.error(f"--shape: shape has {shape.cells} cells, above the enumeration cap "
+                     f"of {args.oracle_cap} (raise --oracle-cap to override)")
+    # with the shape's own columns as bounds the walk lists only its sub-shapes' fillings
+    return str(listed_counts(shape.columns, shape.cells)[shape.columns]), 0
 
 
 def _cmd_ratio(args, parser) -> tuple[str, int]:

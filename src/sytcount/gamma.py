@@ -162,7 +162,8 @@ def entry_corrections(s: int, n: int, i: int) -> list[CorrectionTerm]:
 
     For s = 3 the single term comes from the closed one-shape rule; its
     (j, n, i) coordinates record the equivalent generic family (j=1, shifted
-    index), an equality the verification suites enforce.
+    index). The `gamma3` suite checks that the two values agree; the suites
+    read no coordinate.
     """
     if i == 0:
         return [CorrectionTerm(s, j, n - 1, 0, correction_r(s, j, n - 1, 0))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sytcount
+import sytcount.counting as counting
 import sytcount.gamma as gamma
 import sytcount.sequences as seq
 from sytcount import verify
@@ -299,6 +300,50 @@ def test_oracle_rejects_negative_cap(capsys):
     assert out == ""
     assert "--oracle-cap must be >= 0" in err
     assert "enumeration cap" not in err
+
+
+def test_oracle_rejects_a_negative_cap_before_counting_cells(capsys):
+    # the empty shape has 0 cells, so a cell check alone would blame the shape
+    status, out, err = invoke(capsys, "oracle", "--shape", "", "--oracle-cap", "-1")
+    assert status == 2
+    assert out == ""
+    assert err.endswith("sytcount: error: --oracle-cap must be >= 0\n")
+
+
+def test_oracle_default_cap_guard(capsys):
+    assert invoke(capsys, "oracle", "--shape", "9,9") == (
+        2, "", "usage: sytcount [-h] {tau,gamma,table,hook,oracle,ratio,verify} ...\n"
+        "sytcount: error: --shape: shape has 18 cells, above the enumeration cap of 16 "
+        "(raise --oracle-cap to override)\n")
+    assert invoke(capsys, "oracle", "--shape", "8,8")[:2] == (0, "1430\n")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1,2", "column lengths must be weakly decreasing: (1, 2)"),
+    ("2,x", "malformed shape text: '2,x'")])
+def test_oracle_malformed_shape(capsys, text, reason):
+    assert invoke(capsys, "oracle", "--shape", text) == (
+        2, "", "usage: sytcount [-h] {tau,gamma,table,hook,oracle,ratio,verify} ...\n"
+        f"sytcount: error: --shape: {reason}\n")
+
+
+def test_oracle_cap_counts_cells(capsys):
+    assert invoke(capsys, "oracle", "--shape", "1", "--oracle-cap", "0") == (
+        2, "", "usage: sytcount [-h] {tau,gamma,table,hook,oracle,ratio,verify} ...\n"
+        "sytcount: error: --shape: shape has 1 cells, above the enumeration cap of 0 "
+        "(raise --oracle-cap to override)\n")
+    assert invoke(capsys, "oracle", "--shape", "", "--oracle-cap", "0")[:2] == (0, "1\n")
+
+
+def test_oracle_lists_what_the_hook_formula_counts(capsys, monkeypatch):
+    shapes = [("4,4,4,4",), ("9,9", "--oracle-cap", "18"), ("3,2,1",)]
+    by_hook = [invoke(capsys, "hook", "--shape", shape[0]) for shape in shapes]
+    def refuse(cols):
+        raise AssertionError(f"the oracle read a count for {cols}")
+    monkeypatch.setattr(counting, "_hook_count", refuse)
+    monkeypatch.setattr(counting, "_removal_count", refuse)
+    listed = [invoke(capsys, "oracle", "--shape", *shape) for shape in shapes]
+    assert listed == by_hook == [(0, "24024\n", ""), (0, "4862\n", ""), (0, "16\n", "")]
 
 
 def test_package_runs_as_a_module():

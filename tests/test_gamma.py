@@ -7,7 +7,7 @@ import sytcount.gamma as gamma
 import sytcount.shapes as shapes
 from sytcount.cli import run
 from sytcount.counting import syt_count_hlf
-from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
+from sytcount.gamma import (DEFINITIONAL, RECURRENCE, CorrectionTerm, NegativeEntryError,
                             _recurrence_entry, alpha, ballot_entry,
                             build_table, correction_r, correction_r3,
                             entry_corrections, gamma_def, gamma_rec,
@@ -116,6 +116,13 @@ def test_correction_terms_carry_their_values():
         assert term.value == correction_r(3, term.j, term.n, term.i)
 
 
+def test_width_three_terms_carry_the_generic_coordinates():
+    for n in range(1, 31):
+        for i in range(1, n // 2 + 1):
+            term = CorrectionTerm(3, 1, n - 1, i - 1, correction_r(3, 1, n - 1, i - 1))
+            assert entry_corrections(3, n, i) == [term], (n, i)
+
+
 # --- recurrence route ----------------------------------------------------------
 
 def test_gamma_rec_examples():
@@ -172,6 +179,12 @@ def test_two_column_table_is_the_alpha_triangle():
         for i in range(n // 2 + 1):
             assert table.rows[n][i] == alpha(n, i)
         assert sum(table.rows[n]) == tau(2, n, "definition")
+
+
+def test_tables_start_at_the_empty_shape():
+    for s in range(2, 7):
+        for method in (DEFINITIONAL, RECURRENCE):
+            assert build_table(s, 0, method).rows == [[1]], (s, method)
 
 
 def test_table_entry_axioms():

@@ -7,14 +7,14 @@ import pytest
 import sytcount.gamma as gamma
 import sytcount.sequences as seq
 from sytcount._memo import Memo
-from sytcount.counting import listed_counts, syt_enumerate
+from sytcount.counting import listed_counts
 from sytcount.sequences import (RatioParts, RecurrenceMismatchError,
                                 approx_decimal, catalan, central_binomial,
                                 correction_aggregate, involutions, motzkin,
                                 parity_indicator, ratio, ratio_decomposition,
                                 ratio_table, tau, tau_growth,
                                 tau_recurrence_step, tau_series)
-from sytcount.shapes import ColumnShape, partitions_at_most
+from sytcount.shapes import partitions_at_most
 from sytcount.verify import compare_methods
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -321,13 +321,13 @@ INTEGER_CALLS = [(tau, (3, 6)), (tau, (3, 1)), (tau_growth, (3, 6)), (tau_growth
                  (ratio, (3, 1)), (ratio_table, (3, 1)), (ratio_decomposition, (3,)),
                  (approx_decimal, (Fraction(1, 3), 1)), (compare_methods, (3, 1)),
                  (tau_recurrence_step, (2, 1)), (tau_recurrence_step, (3, 3)),
-                 (syt_enumerate, (ColumnShape((2, 1)), 16)),
-                 (syt_enumerate, (ColumnShape((1,)), 1)), (listed_counts, ((2, 2), 1))]
+                 (listed_counts, ((2, 1), 3)), (listed_counts, ((1,), 0)),
+                 (listed_counts, ((2, 2), 1))]
 
 
 def _non_integer_spellings(args):
     for position, value in enumerate(args):
-        if value.__class__ is not int:  # a Fraction to render, a shape, column bounds
+        if value.__class__ is not int:  # a Fraction to render, column bounds
             continue
         for spelling in (float(value), *([bool(value)] if value in (0, 1) else [])):
             yield args[:position] + (spelling,) + args[position + 1:]

@@ -109,6 +109,7 @@ def test_r3_shape_examples():
     assert r3_shape(4, 1) == ColumnShape((1, 1, 1))
     assert r3_shape(6, 2) == ColumnShape((2, 2, 1))
     assert r3_shape(5, 0) is None  # formula would give (1,1,2): rejected
+    assert r3_shape(1, 0) is None  # n - 2i = 1 is not 2 mod 3
     assert r3_shape(5, 1) is None
     assert r3_shape(5, 2) is None
 
