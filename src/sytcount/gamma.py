@@ -11,8 +11,12 @@ correction terms are the same buckets restricted to equal adjacent columns.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, and_, not_, rshift, sub
 
 from ._memo import Memo, MemoMap
 from .counting import syt_count_hlf
@@ -65,44 +69,110 @@ def ballot_entry(j: int, k: int) -> int:
 
 
 # --- the corner-growth sweep ---------------------------------------------------------
-# A shape with at most s columns is packed into one integer of 16-bit digits, lowest
-# first: c1 - c2, ..., c_(s-1) - c_s, c_s. Digit 1 is the table index i (c2 for s = 2),
-# and a cell can go on column k + 1 > 1 only while digit k - 1, c_k - c_(k+1), is > 0.
+# A shape on n cells with at most s columns is named by the tuple of its column
+# differences d_k = c_k - c_(k+1), k = 2..s (c_(s+1) = 0), packed into one integer of
+# 16-bit digits, d_2 lowest; d_1 = n - w is what its weight w = 2 d_2 + ... + s d_s
+# leaves, so the tuple names a shape on every level n >= w. A cell on column 1 keeps the
+# tuple; one on column k > 1 moves a unit from d_(k-1) to d_k. So the tuples are numbered
+# once, in order of weight, each with the number it pulls from per column k > 1: the
+# tuple it was before a cell went on column k, or 0, a zero count, where column k cannot
+# lose a cell. A level's fillings are then the previous level's (the column-1 pull) plus
+# one pull per column, each a pass in C. d_2 is the table index i; row j >= 1 keeps the
+# tuples with d_j = 0, for j = 1 those of weight n.
 _FIELD = 16
 _DIGIT = (1 << _FIELD) - 1
 
 
-def _next_level(frontier: dict[int, int], s: int, n: int) -> tuple[dict[int, int], tuple]:
-    """Grow the packed shapes on n cells, mapped to their fillings, into those on n + 1
-    cells, and bucket level n on the way into min(s, n + 1) table rows, row j >= 1
-    restricted to c_j = c_(j+1): to the shapes whose column j + 1 is blocked."""
-    if n + 1 > _DIGIT:  # no digit of a shape on n + 1 cells exceeds n + 1
+class _Lattice:
+    """The tuples of one width numbered so far, and the fillings of the last level."""
+
+    def __init__(self) -> None:
+        self.counts = [0]  # fillings by number; number 0 is no shape
+        self.pulls: list[array] = []  # per column k = 2, 3, ...: what each number pulls
+        self.members: list[array] = []  # per d_2: the numbers with that d_2, ascending
+        self.zeros: list[list[bytearray]] = []  # per row j >= 2, per d_2: d_j == 0
+        self.older: dict[int, int] = {}  # number by key, weight n - 2
+        self.last: dict[int, int] = {}  # number by key, weight n - 1
+
+    def number(self, s: int, n: int) -> tuple[list[int], list[int]]:
+        """Drop what a failed step left, then number the tuples of weight n with their
+        pulls and zero flags. Return their keys and the first number of each d_2
+        bucket among them, with one past the last."""
+        pulls, members, zeros, size = self.pulls, self.members, self.zeros, len(self.counts)
+        for pull in pulls:
+            del pull[size:]
+        for i, numbers in enumerate(members):
+            del numbers[bisect_left(numbers, size):]
+            for flags in zeros:
+                del flags[i][len(numbers):]
+        # per column k in 2..min(s, n): the key change, a unit from d_(k-1) (d_1 for
+        # k = 2) to d_k, and the keys it grows into weight n: those of weight n - 2 for
+        # k = 2, else those of weight n - 1 with d_(k-1) > 0
+        older, last = self.older, self.last
+        moves = [(1, older)] if n >= 2 else []
+        fresh = {key + 1 for key in older} if n else {0}
+        for k in range(3, min(s, n) + 1):
+            low = _FIELD * (k - 3)  # the digit of d_(k-1)
+            move = (1 << low + _FIELD) - (1 << low)
+            moves.append((move, last))
+            fresh.update(compress(map(add, last, repeat(move)), _digits(last, low)))
+        fresh = sorted(fresh, key=_DIGIT.__and__)  # numbered by d_2, the table index
+        cuts = [size + bisect_left(fresh, i, key=_DIGIT.__and__) for i in range(n // 2 + 2)]
+        for k, (move, source) in enumerate(moves):
+            if k == len(pulls):  # column k + 2 is new: no older tuple has d_(k+2) > 0
+                pulls.append(array("I", [0]) * size)
+            pulls[k].extend(map(source.get, map(sub, fresh, repeat(move)), repeat(0)))
+        while len(members) <= n // 2:
+            members.append(array("I"))
+            for flags in zeros:
+                flags.append(bytearray())
+        while len(zeros) < min(s - 1, n) - 1:  # a new row j: no older tuple has d_j > 0
+            zeros.append([bytearray(b"\1") * len(numbers) for numbers in members])
+        for i, numbers in enumerate(members):
+            numbers.extend(range(cuts[i], cuts[i + 1]))
+        for j, flags in enumerate(zeros, 2):
+            fresh_flags = bytearray(map(not_, _digits(fresh, _FIELD * (j - 2))))
+            for i, bucket in enumerate(flags):
+                bucket += fresh_flags[cuts[i] - size:cuts[i + 1] - size]
+        return fresh, cuts
+
+
+def _digits(keys, shift: int):
+    """The digit at bit `shift` of each key."""
+    return map(and_, map(rshift, keys, repeat(shift)), repeat(_DIGIT))
+
+
+def _next_level(lattice: _Lattice | None, s: int, n: int) -> tuple[_Lattice, tuple]:
+    """Number the tuples of weight n, pull level n - 1's fillings into level n, and
+    bucket level n into min(s, n + 1) table rows, row j >= 1 restricted to
+    c_j = c_(j+1): to the shapes whose column j + 1 is blocked. `None` has numbered
+    nothing yet."""
+    if n >= _DIGIT:  # a borrow past a zero digit must read _DIGIT, not a shape's digit
         raise OverflowError(f"the sweep's {_FIELD}-bit digits stop at {_DIGIT} cells")
-    rows = [[0] * (n // 2 + 1) for _ in range(min(s, n + 1))]
-    # per column k + 1 in 2..n+1: the digit it needs nonzero, the key change, the row
-    moves = [(_FIELD * (k - 1), (1 << _FIELD * k) - (1 << _FIELD * (k - 1)), rows[k])
-             for k in range(1, len(rows))]
-    row, grown = rows[0], {}
-    get = grown.get
-    for key, count in frontier.items():
-        i = key >> _FIELD & _DIGIT
-        row[i] += count
-        grown[key + 1] = get(key + 1, 0) + count
-        for shift, move, blocked in moves:
-            if key >> shift & _DIGIT:
-                grown[key + move] = get(key + move, 0) + count
-            else:
-                blocked[i] += count
-    return grown, tuple(map(tuple, rows))
+    lattice = lattice or _Lattice()
+    counts, size = lattice.counts, len(lattice.counts)
+    fresh, cuts = lattice.number(s, n)
+    grown = counts + [0] * len(fresh) if n else [0, 1]
+    for pull in lattice.pulls:
+        grown = map(add, grown, map(counts.__getitem__, pull))
+    counts = list(grown)
+    values = [list(map(counts.__getitem__, numbers)) for numbers in lattice.members]
+    rows = [tuple(map(sum, values))]
+    if n:
+        rows.append(tuple(sum(counts[a:b]) for a, b in zip(cuts, cuts[1:])))
+    rows.extend(tuple(map(sum, map(compress, values, flags))) for flags in lattice.zeros)
+    lattice.counts, lattice.older, lattice.last = counts, lattice.last, dict(
+        zip(fresh, range(size, size + len(fresh))))
+    return lattice, tuple(rows)
 
 
 @MemoMap
 def _sweep(s: int) -> Memo:
-    frontier: dict[int, int] = {}  # only the next level's shapes
+    lattice = None  # the tuples numbered so far, with the last level's fillings
 
     def step(levels: list[tuple]) -> tuple:
-        nonlocal frontier  # a first step (also after clear()) starts afresh
-        frontier, level = _next_level(frontier if levels else {0: 1}, s, len(levels))
+        nonlocal lattice  # a first step (also after clear()) starts afresh
+        lattice, level = _next_level(lattice if levels else None, s, len(levels))
         return level
 
     return Memo([], step)
@@ -186,11 +256,6 @@ def row_correction_terms(s: int, n: int) -> list[CorrectionTerm]:
 
 # --- recurrence-built tables --------------------------------------------------
 
-def seed_rows(s: int) -> int:
-    """Index of the last definitionally seeded row of a recurrence table."""
-    return max(3, s - 1)
-
-
 def _recurrence_entry(s: int, n: int, i: int, prev_row: list[int]) -> int:
     prev = prev_row + [0, 0]  # entries past the previous row read as 0
     if i == 0:
@@ -208,20 +273,15 @@ def _recurrence_entry(s: int, n: int, i: int, prev_row: list[int]) -> int:
 
 @MemoMap
 def _rec_rows(s: int) -> Memo:
-    def step(rows: list[list[int]]) -> list[int]:
-        n = len(rows)
-        if n <= seed_rows(s):
-            return _table_row(s, n, DEFINITIONAL)
-        return [_recurrence_entry(s, n, i, rows[n - 1]) for i in range(n // 2 + 1)]
-
-    return Memo([], step)
+    return Memo([[1]], lambda rows: [_recurrence_entry(s, len(rows), i, rows[-1])
+                                     for i in range(len(rows) // 2 + 1)])
 
 
 def gamma_rec(s: int, n: int, i: int) -> int:
     """Entry (n, i) of the width-s table, by the three-term row recurrence.
 
-    Rows 0 .. max(3, s-1) are seeded definitionally; later rows come from the
-    recurrence with all out-of-range entries read as 0.
+    Row 0 is the empty shape's [1]; every later row comes from the recurrence, with
+    all out-of-range entries read as 0. Width 3 reads no sweep level on this route.
     """
     _check_indices(s, n, i)
     return _rec_rows[s][n][i] if i <= n // 2 else 0

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from sytcount.gamma import (DEFINITIONAL, RECURRENCE, CorrectionTerm, NegativeEn
                             _recurrence_entry, alpha, ballot_entry,
                             build_table, correction_r, correction_r3,
                             entry_corrections, gamma_def, gamma_rec,
-                            row_correction_terms, seed_rows)
+                            row_correction_terms)
 from sytcount.sequences import catalan, tau
 from sytcount.shapes import ColumnShape, enumerate_family
 from sytcount.verify import compare_methods
@@ -133,16 +134,26 @@ def test_gamma_rec_examples():
 
 
 def test_gamma_rec_matches_definitional():
-    for s in (3, 4, 5):
-        for n in range(15):
+    # from row 1 on every row is the recurrence's, whatever the width
+    for s in range(3, 13):
+        for n in range(24):
             for i in range(n // 2 + 1):
-                assert gamma_rec(s, n, i) == gamma_def(s, n, i)
+                assert gamma_rec(s, n, i) == gamma_def(s, n, i), (s, n, i)
 
 
-def test_seeded_rows():
-    assert seed_rows(3) == 3
-    assert seed_rows(4) == 3
-    assert seed_rows(5) == 4
+def test_the_width_three_recurrence_reads_no_sweep_level(monkeypatch):
+    expected = build_table(3, 40, DEFINITIONAL).rows
+    assert build_table(3, 40, RECURRENCE).rows == expected
+
+    def no_sweep(lattice, s, n):
+        raise AssertionError(f"the width-{s} sweep stepped to level {n}")
+
+    monkeypatch.setattr(gamma, "_next_level", no_sweep)
+    for cached in (gamma.gamma_def, gamma.correction_r):
+        cached.cache_clear()
+    gamma._sweep[3].clear()
+    gamma._rec_rows[3].clear()
+    assert build_table(3, 40, RECURRENCE).rows == expected
 
 
 def test_negative_entry_guard():
@@ -220,22 +231,34 @@ def test_compare_methods_reports():
         compare_methods(3, -1)
 
 
-def _validated_sum(s, n, i, j=None):
-    """The hook counts of the shapes on n cells with at most s columns, c2 - c3 = i and,
-    for a given j, c_j = c_(j+1): a brute filter over ColumnShape.column."""
-    return sum(syt_count_hlf(shape) for shape in enumerate_family(n, s)
-               if shape.column(2) - shape.column(3) == i
-               and (j is None or shape.column(j) == shape.column(j + 1)))
+def _validated_sums(s, n):
+    """The hook counts of the shapes on n cells with at most s columns, summed by
+    i = c2 - c3 at (i, None) and, for each j, over those with c_j = c_(j+1) at (i, j):
+    one brute pass over ColumnShape.column."""
+    sums = Counter()
+    for shape in enumerate_family(n, s):
+        i, count = shape.column(2) - shape.column(3), syt_count_hlf(shape)
+        sums[i, None] += count
+        for j in range(1, s):
+            if shape.column(j) == shape.column(j + 1):
+                sums[i, j] += count
+    return sums
+
+
+# (width, last level): level n pulls only columns <= n, so the wide widths check that the
+# columns past n read as blocked
+BUCKET_RANGES = ([(s, 28) for s in range(3, 8)] + [(s, 14) for s in range(8, 13)]
+                 + [(30, 10)])
 
 
 def test_bucket_sums_equal_validated_shape_sums():
-    for s in range(3, 8):
-        for n in range(29):
+    for s, last in BUCKET_RANGES:
+        for n in range(last + 1):
+            sums = _validated_sums(s, n)
             for i in range(n // 2 + 2):  # the last bucket is always empty
-                assert gamma_def(s, n, i) == _validated_sum(s, n, i)
+                assert gamma_def(s, n, i) == sums[i, None], (s, n, i)
                 for j in range(1, s):
-                    expected = _validated_sum(s, n, i, j)
-                    assert correction_r(s, j, n, i) == expected, (s, j, n, i)
+                    assert correction_r(s, j, n, i) == sums[i, j], (s, j, n, i)
 
 
 def test_float_indices_raise_a_type_error():
@@ -248,9 +271,36 @@ def test_float_indices_raise_a_type_error():
 
 
 def test_the_sweep_refuses_a_level_its_digits_cannot_hold():
-    with pytest.raises(OverflowError):
-        gamma._next_level({}, 3, gamma._DIGIT)
-    assert gamma._next_level({}, 3, gamma._DIGIT - 1)[0] == {}
+    message = f"the sweep's 16-bit digits stop at {gamma._DIGIT} cells"
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        gamma._next_level(None, 3, gamma._DIGIT)
+    # no shape was numbered below it, so every bucket of the level below is empty
+    level = gamma._next_level(None, 3, gamma._DIGIT - 1)[1]
+    assert level == ((0,) * (gamma._DIGIT // 2 + 1),) * 3
+
+
+def test_a_failed_sweep_step_leaves_no_trace(monkeypatch):
+    width = 5
+    gamma._sweep.pop(width, None)
+    expected = [gamma._sweep[width][n] for n in range(31)]
+    gamma._sweep.pop(width, None)
+    steps, next_level = [], gamma._next_level
+
+    def counting_levels(lattice, s, n):
+        steps.append(n)
+        return next_level(lattice, s, n)
+
+    def failing_sum(values):  # once, at level 20, in the bucket sums after the numbering
+        if steps == list(range(21)):
+            raise MemoryError("planted")
+        return sum(values)
+
+    monkeypatch.setattr(gamma, "_next_level", counting_levels)
+    monkeypatch.setattr(gamma, "sum", failing_sum, raising=False)
+    with pytest.raises(MemoryError):
+        gamma._sweep[width][30]
+    assert [gamma._sweep[width][n] for n in range(31)] == expected
+    assert steps == list(range(21)) + list(range(20, 31))
 
 
 def _cache_reads(cached):
