@@ -277,6 +277,7 @@ def _rec_rows(s: int) -> Memo:
                                      for i in range(len(rows) // 2 + 1)])
 
 
+@lru_cache(maxsize=None, typed=True)
 def gamma_rec(s: int, n: int, i: int) -> int:
     """Entry (n, i) of the width-s table, by the three-term row recurrence.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
 from operator import add, mul
@@ -176,11 +176,6 @@ def tau_series(s: int, n: int) -> int:
     return _series_states[s][n]
 
 
-@cache
-def _tau_definition(s: int, n: int) -> int:
-    return sum(_table_row(s, n, DEFINITIONAL))
-
-
 @MemoMap
 def _steps_checked(s: int) -> Memo:
     """The width-s totals recurrence from its first step on (n = 1 for s = 2,
@@ -200,6 +195,8 @@ def _tau_recurrence(s: int, n: int) -> int:
 CLOSED_FORMS = {2: central_binomial, 3: motzkin}
 
 
+# typed, like gamma_def: a float or bool argument misses and meets the gate
+@lru_cache(maxsize=None, typed=True)
 def tau(s: int, n: int, method: str = "definition") -> int:
     """Total number of standard tableaux with n cells and at most s columns.
 
@@ -214,7 +211,7 @@ def tau(s: int, n: int, method: str = "definition") -> int:
     """
     _check_totals_args(s, n)
     if method == "definition":
-        return _tau_definition(s, n)
+        return sum(_table_row(s, n, DEFINITIONAL))
     if method == "recurrence":
         return _tau_recurrence(s, n)
     if method == "closed":
@@ -299,6 +296,7 @@ def approx_decimal(value: Fraction, digits: int = 12) -> str:
     return format(quotient, "f")
 
 
+@lru_cache(maxsize=None, typed=True)
 def ratio(s: int, n: int) -> Fraction:
     """Exact consecutive-totals ratio tau_s(n) / tau_s(n-1)."""
     if n.__class__ is not int:  # 0.5 must not fail the range check first

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import ge, sub
+from itertools import accumulate
+from operator import ge
 from typing import Iterator
 
 
@@ -63,10 +63,12 @@ class ColumnShape:
 
 
 def _transpose(cols: tuple[int, ...]) -> tuple[int, ...]:
-    """Row lengths of the diagram with column lengths `cols`, longest first: row length k
-    repeats c_k - c_(k+1) times, with c_(width+1) = 0."""
-    return tuple(chain.from_iterable(map(repeat, range(len(cols), 0, -1),
-                                         map(sub, cols[::-1], (0, *cols[:0:-1])))))
+    """Row lengths of the diagram with column lengths `cols` (validated, so c_1 is the
+    longest), longest first: row r holds the columns that end in row r or below."""
+    ends = [0] * (cols[0] if cols else 0)  # ends[r - 1]: the columns ending in row r
+    for length in cols:
+        ends[length - 1] += 1
+    return tuple(accumulate(reversed(ends)))[::-1]
 
 
 def conjugate(shape: ColumnShape) -> ColumnShape:

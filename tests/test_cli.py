@@ -398,20 +398,7 @@ def test_oracle_catches_a_dropped_filling(monkeypatch):
     assert triple.counterexample.startswith(f"counts disagree on {dropped[0]}: ")
 
 
-@pytest.fixture
-def fresh_sweeps():
-    """Cold sweeps, table entries and totals before the test, and again after it."""
-    def clear():
-        for cached in (gamma.gamma_def, gamma.correction_r, seq._tau_definition):
-            cached.cache_clear()
-        for memos in (gamma._sweep, gamma._rec_rows, seq._steps_checked):
-            memos.clear()
-    clear()
-    yield
-    clear()
-
-
-def test_verify_catches_a_sweep_count_off_by_one(fresh_sweeps, monkeypatch):
+def test_verify_catches_a_sweep_count_off_by_one(cold, monkeypatch):
     next_level = gamma._next_level
 
     def off_by_one(frontier, s, n):
@@ -574,7 +561,7 @@ BROKEN_RECORD_ROUTES = [
 ]
 
 
-def test_a_route_that_raises_fails_its_case(fresh_sweeps, monkeypatch):
+def test_a_route_that_raises_fails_its_case(cold, monkeypatch):
     # the recurrence subtracts a wrong correction until an entry goes negative at n=24
     real = gamma.syt_count_hlf
     monkeypatch.setattr(gamma, "syt_count_hlf",

@@ -1,18 +1,15 @@
 """Threads sharing the sequence memos get the same exact values as one thread."""
 
-import importlib
-import pkgutil
 import sys
 import threading
 import time
 from fractions import Fraction
 from math import comb, factorial
 
-import sytcount
 from sytcount._memo import Memo, MemoMap
 import sytcount.gamma as gamma
 from sytcount.gamma import correction_r, gamma_def, gamma_rec
-from sytcount.sequences import tau, tau_growth, tau_series
+from sytcount.sequences import ratio, tau, tau_growth, tau_series
 
 THREADS = 4
 JOIN_TIMEOUT_S = 120
@@ -42,20 +39,23 @@ def _at_most_five_columns(n):
                for k in range(n // 2 + 1))
 
 
-def _module_memos():
-    """Every Memo, and every MemoMap of per-width memos, held at module level
-    anywhere in the package."""
-    modules = [importlib.import_module(f"sytcount.{info.name}")
-               for info in pkgutil.iter_modules(sytcount.__path__)]
-    return [value for module in modules for value in vars(module).values()
-            if isinstance(value, (Memo, MemoMap))]
-
-
-def _clear_memos():
-    memos = _module_memos()
-    assert memos, "no Memo found in the package"
-    for memo in memos:
-        memo.clear()
+def test_cold_drops_every_cached_answer_and_memo_term(cold, package_stores):
+    caches, memos = package_stores
+    for warm in (tau(4, 12, "recurrence"), tau(3, 9), ratio(5, 8), gamma_rec(5, 10, 2),
+                 tau_growth(6, 9), tau_series(4, 9), correction_r(4, 3, 9, 1)):
+        assert warm > 0
+    assert all(cached.cache_info().currsize for cached in (tau, ratio, gamma_rec))
+    cold()
+    names = {f"{cached.__module__}.{cached.__qualname__}" for cached in caches}
+    assert {"sytcount.sequences.tau", "sytcount.sequences.ratio",
+            "sytcount.gamma.gamma_rec", "sytcount.gamma.gamma_def",
+            "sytcount.gamma.correction_r", "sytcount.counting._hook_count",
+            "sytcount.shapes.partitions_at_most"} <= names
+    found = set(map(id, memos))
+    assert {id(gamma._sweep), id(gamma._rec_rows), id(gamma._alpha_rows)} <= found
+    assert [cached.cache_info().currsize for cached in caches] == [0] * len(caches)
+    for memo in memos:  # a Memo keeps its seed; a MemoMap keeps no width's memo
+        assert len(memo._terms) == memo._seed_len if isinstance(memo, Memo) else not memo
 
 
 def _calls(results):
@@ -68,8 +68,7 @@ def _calls(results):
     results.append(got)
 
 
-def test_memos_extend_correctly_under_threads():
-    _clear_memos()
+def test_memos_extend_correctly_under_threads(cold):
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -117,18 +116,12 @@ def test_memo_map_makes_each_width_once_under_threads():
     assert results == [expected] * THREADS
 
 
-def test_threads_on_one_cold_width_step_each_sweep_level_once(monkeypatch):
+def test_threads_on_one_cold_width_step_each_sweep_level_once(cold, monkeypatch):
     width = 6
     calls = [lambda: gamma_def(width, 30, 3), lambda: correction_r(width, 1, 29, 4),
              lambda: correction_r(width, 4, 30, 2), lambda: tau_growth(width, 30),
              lambda: gamma_def(width, 12, 0), lambda: correction_r(width, 5, 20, 0)]
 
-    def cold():
-        gamma_def.cache_clear()
-        correction_r.cache_clear()
-        gamma._sweep.pop(width, None)
-
-    cold()
     serial = [call() for call in calls]
     steps, next_level = [], gamma._next_level
 

@@ -141,7 +141,7 @@ def test_gamma_rec_matches_definitional():
                 assert gamma_rec(s, n, i) == gamma_def(s, n, i), (s, n, i)
 
 
-def test_the_width_three_recurrence_reads_no_sweep_level(monkeypatch):
+def test_the_width_three_recurrence_reads_no_sweep_level(cold, monkeypatch):
     expected = build_table(3, 40, DEFINITIONAL).rows
     assert build_table(3, 40, RECURRENCE).rows == expected
 
@@ -149,10 +149,7 @@ def test_the_width_three_recurrence_reads_no_sweep_level(monkeypatch):
         raise AssertionError(f"the width-{s} sweep stepped to level {n}")
 
     monkeypatch.setattr(gamma, "_next_level", no_sweep)
-    for cached in (gamma.gamma_def, gamma.correction_r):
-        cached.cache_clear()
-    gamma._sweep[3].clear()
-    gamma._rec_rows[3].clear()
+    cold()
     assert build_table(3, 40, RECURRENCE).rows == expected
 
 
@@ -308,7 +305,7 @@ def _cache_reads(cached):
     return info.hits + info.misses
 
 
-def test_cold_table_builds_read_no_hook_count_and_step_each_level_once(monkeypatch):
+def test_cold_table_builds_read_no_hook_count_and_step_each_level_once(cold, monkeypatch):
     steps = []  # the (width, level) of every sweep step
 
     def counting_levels(frontier, s, n):
@@ -320,10 +317,7 @@ def test_cold_table_builds_read_no_hook_count_and_step_each_level_once(monkeypat
     frobenius_route = (counting._hook_count, shapes.partitions_at_most)
     # the recurrence reads corrections of rows 0..29 only
     for method, levels in ((DEFINITIONAL, 31), (RECURRENCE, 30)):
-        for cached in (gamma.gamma_def, gamma.correction_r):
-            cached.cache_clear()
-        gamma._sweep.clear()
-        gamma._rec_rows.clear()
+        cold()
         steps.clear()
         before = list(map(_cache_reads, frobenius_route))
         build_table(6, 30, method)

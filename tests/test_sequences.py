@@ -72,6 +72,20 @@ def test_tau_rejects_bad_arguments():
         tau(3, 5, "sideways")
 
 
+def test_cached_totals_keep_the_method_contract(cold):
+    texts = []
+    for _ in range(2):  # cold, then with (3, 5) answered by every known method
+        with pytest.raises(ValueError) as raised:
+            tau(3, 5, "sideways")
+        texts.append(str(raised.value))
+        for method in seq.TAU_METHODS:
+            tau(3, 5, method)
+    assert texts == [f"unknown method 'sideways'; expected one of {seq.TAU_METHODS}"] * 2
+    # the cache hashes its key before the method is read
+    with pytest.raises(TypeError, match="unhashable"):
+        tau(3, 5, ["definition"])
+
+
 def test_tau_methods_agree():
     for n in range(31):
         assert tau(2, n, "definition") == tau(2, n, "recurrence") == tau(2, n, "closed")
@@ -263,19 +277,19 @@ def test_recurrence_step_raises_on_mismatch(monkeypatch):
         tau_recurrence_step(2, 5, method="recurrence")
 
 
-@pytest.fixture
-def wrong_two_column_rows(monkeypatch):
-    """Two-column recurrence rows of the right length holding only 2s. The
-    totals caches are cleared before and after, so no wrong total survives."""
-    def clear():
-        seq._tau_definition.cache_clear()
-        seq._steps_checked.clear()
+def test_the_two_column_step_is_checked_from_the_first_row(cold, monkeypatch):
+    # step 1 subtracts catalan(0): a wrong one must fail tau(2, 1) itself
+    monkeypatch.setattr(seq, "catalan", lambda n: 999)
+    with pytest.raises(RecurrenceMismatchError):
+        tau(2, 1, "recurrence")
 
-    clear()
+
+@pytest.fixture
+def wrong_two_column_rows(cold, monkeypatch):
+    """Two-column recurrence rows of the right length holding only 2s, in a package
+    made cold before and after, so no wrong total survives."""
     monkeypatch.setattr(gamma, "_alpha_rows",
                         Memo([[1]], lambda rows: [2] * (len(rows) // 2 + 1)))
-    yield
-    clear()
 
 
 def test_two_column_definition_total_is_a_sum_of_hook_counts(wrong_two_column_rows):
@@ -288,18 +302,14 @@ def test_two_column_recurrence_total_is_certified_by_the_step(wrong_two_column_r
         tau(2, 10, "recurrence")
 
 
-def test_wide_recurrence_total_builds_only_its_own_width():
-    for memos in (seq._steps_checked, gamma._rec_rows, gamma._sweep):
-        memos.clear()
+def test_wide_recurrence_total_builds_only_its_own_width(cold):
     assert tau(3000, 2, "recurrence") == 2
     assert tau_growth(3000, 3) == 4
     assert list(seq._steps_checked) == list(gamma._rec_rows) == [3000]
     assert list(gamma._sweep) == [3000]
 
 
-def test_a_cold_float_width_raises_and_leaves_the_width_memo_alone():
-    for memos in (gamma._sweep, seq._series_states, gamma._rec_rows):
-        memos.clear()
+def test_a_cold_float_width_raises_and_leaves_the_width_memo_alone(cold):
     for call in (tau_growth, tau_series, lambda s, n: gamma.gamma_rec(s + 1, n, 1)):
         with pytest.raises(TypeError):
             call(3.0, 6)
@@ -333,13 +343,7 @@ def _non_integer_spellings(args):
             yield args[:position] + (spelling,) + args[position + 1:]
 
 
-def test_non_integer_arguments_raise_a_type_error_cold_and_warm():
-    for cached in (gamma.gamma_def, gamma.correction_r, seq._tau_definition,
-                   partitions_at_most):
-        cached.cache_clear()
-    for memos in (gamma._sweep, gamma._rec_rows, seq._steps_checked, gamma._alpha_rows,
-                  seq._catalans, seq._motzkins, seq._involutions):
-        memos.clear()
+def test_non_integer_arguments_raise_a_type_error_cold_and_warm(cold):
     for warm in (False, True):
         for call, args in INTEGER_CALLS:
             if warm:
@@ -371,6 +375,12 @@ def test_ratio_examples():
             assert ratio(2, 2 * m - 1) < 2
     with pytest.raises(ValueError):
         ratio(3, 0)
+
+
+def test_a_warm_ratio_is_the_cold_fraction_object(cold):
+    first = ratio(4, 9)
+    assert first == Fraction(tau_series(4, 9), tau_series(4, 8))
+    assert ratio(4, 9) is first
 
 
 def test_ratio_decomposition_desk_values():
