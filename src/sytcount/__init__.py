@@ -10,9 +10,8 @@ each other and against independently generated reference sequences.
 
 from .counting import (DEFAULT_ENUMERATION_CAP, HookDivisionError, syt_count_hlf,
                        syt_count_recursive)
-from .gamma import (CorrectionTerm, GammaTable, NegativeEntryError, alpha,
-                    ballot_entry, build_table, correction_r, correction_r3,
-                    gamma_def, gamma_rec)
+from .gamma import (GammaTable, NegativeEntryError, alpha, ballot_entry, build_table,
+                    correction_r, correction_r3, gamma_def, gamma_rec)
 from .report import CheckResult, VerificationReport
 from .sequences import (RatioParts, RatioRow, RecurrenceMismatchError,
                         TauRecurrenceTerms, approx_decimal, catalan,
@@ -31,7 +30,7 @@ __all__ = [
     "syt_count_hlf", "syt_count_recursive",
     "HookDivisionError", "DEFAULT_ENUMERATION_CAP",
     "alpha", "ballot_entry", "gamma_def", "gamma_rec", "correction_r",
-    "correction_r3", "GammaTable", "CorrectionTerm", "build_table",
+    "correction_r3", "GammaTable", "build_table",
     "compare_methods", "NegativeEntryError",
     "catalan", "motzkin", "central_binomial", "involutions", "tau",
     "tau_growth", "tau_series", "tau_recurrence_step", "TauRecurrenceTerms",

@@ -29,8 +29,8 @@ TABLE_METHODS = {"definition": DEFINITIONAL, "recurrence": RECURRENCE}
 
 
 class NegativeEntryError(ArithmeticError):
-    """A recurrence subtraction went below zero, i.e. a correction term was
-    larger than what the three-term sum provides."""
+    """A recurrence subtraction went below zero, i.e. an entry's correction total
+    was larger than its three-term sum."""
 
 
 # --- the two-column triangle ------------------------------------------------
@@ -216,42 +216,15 @@ def correction_r3(n: int, i: int) -> int:
     return syt_count_hlf(shape) if shape is not None else 0
 
 
-@dataclass(frozen=True)
-class CorrectionTerm:
-    """One correction term subtracted by a row recurrence, with its indices."""
-
-    s: int
-    j: int
-    n: int
-    i: int
-    value: int
-
-
-def entry_corrections(s: int, n: int, i: int) -> list[CorrectionTerm]:
-    """Correction terms subtracted while producing entry (n, i) by recurrence.
-
-    For s = 3 the single term comes from the closed one-shape rule; its
-    (j, n, i) coordinates record the equivalent generic family (j=1, shifted
-    index). The `gamma3` suite checks that the two values agree; the suites
-    read no coordinate.
-    """
-    if i == 0:
-        return [CorrectionTerm(s, j, n - 1, 0, correction_r(s, j, n - 1, 0))
-                for j in range(3, s)]
+def _entry_correction(s: int, n: int, i: int) -> int:
+    """The correction total subtracted while producing entry (n, i) by recurrence: the
+    shapes on n - 1 cells with c_j = c_(j+1), for j = 1 at index i - 1 and for
+    j = 3..s-1 at index i. For s = 3 the j = 1 term is the closed one-shape rule; the
+    `gamma3` suite checks that it equals the generic family's."""
     if s == 3:
-        return [CorrectionTerm(3, 1, n - 1, i - 1, correction_r3(n, i))]
-    terms = [CorrectionTerm(s, 1, n - 1, i - 1, correction_r(s, 1, n - 1, i - 1))]
-    terms.extend(CorrectionTerm(s, j, n - 1, i, correction_r(s, j, n - 1, i))
-                 for j in range(3, s))
-    return terms
-
-
-def row_correction_terms(s: int, n: int) -> list[CorrectionTerm]:
-    """Every correction term subtracted while producing row n by recurrence."""
-    terms: list[CorrectionTerm] = []
-    for i in range(n // 2 + 1):
-        terms.extend(entry_corrections(s, n, i))
-    return terms
+        return correction_r3(n, i) if i else 0
+    total = correction_r(s, 1, n - 1, i - 1) if i else 0
+    return total + sum(correction_r(s, j, n - 1, i) for j in range(3, s))
 
 
 # --- recurrence-built tables --------------------------------------------------
@@ -262,13 +235,12 @@ def _recurrence_entry(s: int, n: int, i: int, prev_row: list[int]) -> int:
         value = (s - 2) * prev[0] + prev[1]
     else:
         value = prev[i - 1] + (s - 2) * prev[i] + prev[i + 1]
-    for term in entry_corrections(s, n, i):
-        value -= term.value
-        if value < 0:
-            raise NegativeEntryError(
-                f"entry ({n},{i}) of the width-{s} table went negative "
-                f"after subtracting {term}")
-    return value
+    correction = _entry_correction(s, n, i)
+    if value < correction:
+        raise NegativeEntryError(
+            f"entry ({n},{i}) of the width-{s} table went negative: its three-term sum "
+            f"{value} is below its correction total {correction}")
+    return value - correction
 
 
 @MemoMap

@@ -19,8 +19,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from ._memo import Memo, MemoMap
-from .gamma import (DEFINITIONAL, RECURRENCE, TABLE_METHODS, _sweep, _table_row,
-                    gamma_def, row_correction_terms)
+from .gamma import (DEFINITIONAL, RECURRENCE, TABLE_METHODS, _entry_correction, _sweep,
+                    _table_row, gamma_def)
 
 TAU_METHODS = ("definition", "recurrence", "closed")
 
@@ -246,7 +246,7 @@ def correction_aggregate(s: int, n: int) -> int:
     row recurrence needs no corrections."""
     if s == 2:
         return 0
-    return sum(term.value for term in row_correction_terms(s, n))
+    return sum(_entry_correction(s, n, i) for i in range(n // 2 + 1))
 
 
 def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurrenceTerms:

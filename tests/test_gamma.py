@@ -8,11 +8,10 @@ import sytcount.gamma as gamma
 import sytcount.shapes as shapes
 from sytcount.cli import run
 from sytcount.counting import syt_count_hlf
-from sytcount.gamma import (DEFINITIONAL, RECURRENCE, CorrectionTerm, NegativeEntryError,
-                            _recurrence_entry, alpha, ballot_entry,
-                            build_table, correction_r, correction_r3,
-                            entry_corrections, gamma_def, gamma_rec,
-                            row_correction_terms)
+from sytcount.gamma import (DEFINITIONAL, RECURRENCE, NegativeEntryError,
+                            _entry_correction, _recurrence_entry, alpha, ballot_entry,
+                            build_table, correction_r, correction_r3, gamma_def,
+                            gamma_rec)
 from sytcount.sequences import catalan, tau
 from sytcount.shapes import ColumnShape, enumerate_family
 from sytcount.verify import compare_methods
@@ -104,24 +103,22 @@ def test_correction_r3_examples():
 
 
 def test_correction_r3_matches_generic_family():
-    for n in range(1, 26):
+    # width 3's correction total is the one-shape rule at i >= 1 and nothing at i = 0
+    for n in range(1, 31):
+        assert _entry_correction(3, n, 0) == 0, n
         for i in range(1, n // 2 + 1):
-            assert correction_r3(n, i) == correction_r(3, 1, n - 1, i - 1)
+            assert correction_r3(n, i) == correction_r(3, 1, n - 1, i - 1), (n, i)
+            assert _entry_correction(3, n, i) == correction_r3(n, i), (n, i)
 
 
 def test_correction_terms_carry_their_values():
-    for term in row_correction_terms(4, 6) + row_correction_terms(5, 7):
-        assert term.value == correction_r(term.s, term.j, term.n, term.i)
-    # width 3 rows expose the one-shape rule under generic coordinates
-    for term in row_correction_terms(3, 8):
-        assert term.value == correction_r(3, term.j, term.n, term.i)
-
-
-def test_width_three_terms_carry_the_generic_coordinates():
-    for n in range(1, 31):
-        for i in range(1, n // 2 + 1):
-            term = CorrectionTerm(3, 1, n - 1, i - 1, correction_r(3, 1, n - 1, i - 1))
-            assert entry_corrections(3, n, i) == [term], (n, i)
+    # the total of entry (n, i) counts the shapes on n - 1 cells with c1 = c2 at index
+    # i - 1 and, for each j = 3..s-1, those with c_j = c_(j+1) at index i
+    for s, n in ((3, 8), (4, 6), (4, 9), (5, 7), (5, 10), (6, 11)):
+        sums = _validated_sums(s, n - 1)
+        for i in range(n // 2 + 1):
+            expected = (sums[i - 1, 1] if i else 0) + sum(sums[i, j] for j in range(3, s))
+            assert _entry_correction(s, n, i) == expected, (s, n, i)
 
 
 # --- recurrence route ----------------------------------------------------------
@@ -154,17 +151,23 @@ def test_the_width_three_recurrence_reads_no_sweep_level(cold, monkeypatch):
 
 
 def test_negative_entry_guard():
-    # a zeroed previous row cannot absorb the (4,1) correction term of 1
-    with pytest.raises(NegativeEntryError):
+    # a zeroed previous row cannot absorb the (4,1) correction total of 1
+    message = ("entry (4,1) of the width-3 table went negative: its three-term sum 0 "
+               "is below its correction total 1")
+    with pytest.raises(NegativeEntryError) as caught:
         _recurrence_entry(3, 4, 1, [0, 0])
+    assert str(caught.value) == message
 
 
 def test_entry_corrections_shapes():
-    # i = 0 rows only carry the j >= 3 family terms
-    assert [t.j for t in entry_corrections(5, 9, 0)] == [3, 4]
-    assert [t.j for t in entry_corrections(5, 9, 2)] == [1, 3, 4]
-    assert [t.j for t in entry_corrections(3, 9, 0)] == []
-    assert [t.j for t in entry_corrections(3, 9, 2)] == [1]
+    # desk values: i = 0 carries only the j >= 3 families, so width 3 has none there
+    assert _entry_correction(3, 9, 0) == 0
+    assert _entry_correction(3, 4, 1) == 1   # shape (1,1,1)
+    assert _entry_correction(3, 6, 2) == 5   # shape (2,2,1)
+    assert _entry_correction(4, 3, 0) == 1   # j=3: (2)
+    assert _entry_correction(4, 4, 1) == 3   # j=1: (1,1,1) is 1, j=3: (2,1) is 2
+    assert _entry_correction(5, 4, 0) == 3   # j=3: (3), j=4: (3) and (1,1,1)
+    assert _entry_correction(5, 4, 1) == 5   # j=1: (1,1,1), j=3 and j=4: (2,1) is 2
 
 
 # --- materialized tables ---------------------------------------------------------

@@ -137,9 +137,10 @@ def test_tau_series_matches_the_other_routes():
     for s in (6, 7):
         for n in range(41):
             assert tau_series(s, n) == tau_growth(s, n)
+    # the recurrence's totals step subtracts each row's correction totals, summed
     for s in (8, 9, 10):
         for n in range(21):
-            assert tau_series(s, n) == tau(s, n, "definition")
+            assert tau_series(s, n) == tau(s, n, "definition") == tau(s, n, "recurrence")
 
 
 def test_tau_series_counts_involutions_up_to_the_width():
