@@ -103,12 +103,9 @@ def test_correction_r3_examples():
 
 
 def test_correction_r3_matches_generic_family():
-    # width 3's correction total is the one-shape rule at i >= 1 and nothing at i = 0
-    for n in range(1, 31):
-        assert _entry_correction(3, n, 0) == 0, n
+    for n in range(1, 26):
         for i in range(1, n // 2 + 1):
-            assert correction_r3(n, i) == correction_r(3, 1, n - 1, i - 1), (n, i)
-            assert _entry_correction(3, n, i) == correction_r3(n, i), (n, i)
+            assert correction_r3(n, i) == correction_r(3, 1, n - 1, i - 1)
 
 
 def test_correction_terms_carry_their_values():
@@ -119,6 +116,15 @@ def test_correction_terms_carry_their_values():
         for i in range(n // 2 + 1):
             expected = (sums[i - 1, 1] if i else 0) + sum(sums[i, j] for j in range(3, s))
             assert _entry_correction(s, n, i) == expected, (s, n, i)
+
+
+def test_width_three_terms_carry_the_generic_coordinates():
+    # width 3's correction total is the generic j = 1 family at (n - 1, i - 1) for
+    # i >= 1 and nothing at i = 0
+    for n in range(1, 31):
+        assert _entry_correction(3, n, 0) == 0, n
+        for i in range(1, n // 2 + 1):
+            assert _entry_correction(3, n, i) == correction_r(3, 1, n - 1, i - 1), (n, i)
 
 
 # --- recurrence route ----------------------------------------------------------
