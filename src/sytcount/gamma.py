@@ -219,10 +219,11 @@ def correction_r3(n: int, i: int) -> int:
 def _entry_correction(s: int, n: int, i: int) -> int:
     """The correction total subtracted while producing entry (n, i) by recurrence: the
     shapes on n - 1 cells with c_j = c_(j+1), for j = 1 at index i - 1 and for
-    j = 3..s-1 at index i. For s = 3 the j = 1 term is the closed one-shape rule; the
-    `gamma3` suite checks that it equals the generic family's."""
+    j = 3..s-1 at index i. For s = 3 the j = 1 term is the closed one-shape rule, which
+    has no shape at i = 0; the `gamma3` suite checks that it equals the generic
+    family's."""
     if s == 3:
-        return correction_r3(n, i) if i else 0
+        return correction_r3(n, i)
     total = correction_r(s, 1, n - 1, i - 1) if i else 0
     return total + sum(correction_r(s, j, n - 1, i) for j in range(3, s))
 
@@ -230,11 +231,8 @@ def _entry_correction(s: int, n: int, i: int) -> int:
 # --- recurrence-built tables --------------------------------------------------
 
 def _recurrence_entry(s: int, n: int, i: int, prev_row: list[int]) -> int:
-    prev = prev_row + [0, 0]  # entries past the previous row read as 0
-    if i == 0:
-        value = (s - 2) * prev[0] + prev[1]
-    else:
-        value = prev[i - 1] + (s - 2) * prev[i] + prev[i + 1]
+    prev = [0, *prev_row, 0, 0]  # entries outside the previous row read as 0
+    value = prev[i] + (s - 2) * prev[i + 1] + prev[i + 2]
     correction = _entry_correction(s, n, i)
     if value < correction:
         raise NegativeEntryError(

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from ._memo import Memo, MemoMap
 from .gamma import (DEFINITIONAL, RECURRENCE, TABLE_METHODS, _entry_correction, _sweep,
-                    _table_row, gamma_def)
+                    _table_row)
 
 TAU_METHODS = ("definition", "recurrence", "closed")
 
@@ -32,11 +32,6 @@ class RecurrenceMismatchError(ArithmeticError):
 def parity_indicator(n: int) -> int:
     """1 if n is even, 0 otherwise. The single parity definition used everywhere."""
     return 1 if n % 2 == 0 else 0
-
-
-def _parity_term(n: int) -> int:
-    """The Catalan term C_{n/2} of the totals recurrence when n is even, else 0."""
-    return catalan(n // 2) if parity_indicator(n) else 0
 
 
 # --- reference sequences (independent of all tableau counting) ----------------
@@ -178,9 +173,9 @@ def tau_series(s: int, n: int) -> int:
 
 @MemoMap
 def _steps_checked(s: int) -> Memo:
-    """The width-s totals recurrence from its first step on (n = 1 for s = 2,
-    n = s otherwise), each step verified once."""
-    return Memo([None] * (1 if s == 2 else s),
+    """The width-s totals step on the recurrence rows from n = 1 on, at every width,
+    each step verified once: term n is its `TauRecurrenceTerms`."""
+    return Memo([None],
                 lambda steps: tau_recurrence_step(s, len(steps), method="recurrence"))
 
 
@@ -225,57 +220,49 @@ def tau(s: int, n: int, method: str = "definition") -> int:
 
 @dataclass(frozen=True)
 class TauRecurrenceTerms:
-    """Term breakdown of one step of the totals recurrence:
+    """Term breakdown of one step of the totals recurrence, which holds for every
+    n >= 1 at every width s >= 2:
     tau_s(n) = main - parity_term - gamma0_term - correction_total."""
 
     s: int
     n: int
     main: int              # s * tau_s(n-1)
-    parity_term: int       # Catalan term, present only when n-1 is even
+    parity_term: int       # Catalan term C_((n-1)/2), present only when n-1 is even
     gamma0_term: int       # entry (n-1, 0) of the width-s table; 0 for s=2
-    correction_total: int  # every correction term feeding row n
+    correction_total: int  # every correction total feeding row n; 0 for s=2
 
     @property
     def value(self) -> int:
         return self.main - self.parity_term - self.gamma0_term - self.correction_total
 
 
-def correction_aggregate(s: int, n: int) -> int:
-    """Sum of every correction term subtracted while producing row n by
-    recurrence, the i = 0 ones included. Identically zero for s = 2, whose
-    row recurrence needs no corrections."""
-    if s == 2:
-        return 0
-    return sum(_entry_correction(s, n, i) for i in range(n // 2 + 1))
-
-
 def tau_recurrence_step(s: int, n: int, method: str = "definition") -> TauRecurrenceTerms:
-    """Compute one step of the totals recurrence and verify it exactly.
+    """Compute one step of the totals recurrence, n >= 1, and verify it exactly.
 
     Rows n-1 and n come from the table that `method` names ("definition" or
     "recurrence", as in TABLE_METHODS). The four terms are assembled from row
-    n-1 and checked against the sum of row n; a mismatch raises
-    RecurrenceMismatchError carrying the full breakdown.
+    n-1 and the correction totals of row n's entries (none at width 2, whose row
+    recurrence needs no corrections), and checked against the sum of row n; a
+    mismatch raises RecurrenceMismatchError carrying the full breakdown. This is
+    the one place that builds the terms: `ratio_decomposition` reads them.
     """
     _check_totals_args(s, n)  # 2.0 would put a float in the terms
-    if s == 2 and n < 1:
-        raise ValueError("the two-column step needs n >= 1")
-    if s >= 3 and n < s:
-        raise ValueError(f"the width-{s} step needs n >= {s}")
+    if n < 1:
+        raise ValueError("the totals step needs n >= 1")
     if method not in TABLE_METHODS:
         raise ValueError(f"unknown method {method!r}")
     prev, here = (_table_row(s, k, TABLE_METHODS[method]) for k in (n - 1, n))
-    total_here = sum(here)
     terms = TauRecurrenceTerms(
         s=s, n=n,
         main=s * sum(prev),
-        parity_term=_parity_term(n - 1),
+        parity_term=catalan((n - 1) // 2) if parity_indicator(n - 1) else 0,
         gamma0_term=0 if s == 2 else prev[0],
-        correction_total=correction_aggregate(s, n),
+        correction_total=0 if s == 2 else sum(
+            _entry_correction(s, n, i) for i in range(n // 2 + 1)),
     )
-    if terms.value != total_here:
+    if terms.value != (total := sum(here)):
         raise RecurrenceMismatchError(
-            f"tau_{s}({n}) = {total_here} but the step gives {terms.value}: {terms}")
+            f"tau_{s}({n}) = {total} but the step gives {terms.value}: {terms}")
     return terms
 
 
@@ -319,18 +306,16 @@ class RatioParts(NamedTuple):
 
 
 def ratio_decomposition(n: int) -> RatioParts:
-    """Split 3 - ratio(3, n) into its parity, leading-entry and correction
-    shares; the three parts sum to the deficit exactly."""
+    """Split 3 - ratio(3, n) into its parity, leading-entry and correction shares:
+    the subtracted terms of the verified step `tau_recurrence_step(3, n)`, each over
+    `tau_series(3, n - 1)`. The three parts sum to the deficit exactly."""
     if n.__class__ is not int:  # True must not fail the range check first
         raise TypeError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise ValueError("the decomposition needs n >= 3")
-    denominator = tau_series(3, n - 1)
-    return RatioParts(
-        parity=Fraction(_parity_term(n - 1), denominator),
-        gamma0=Fraction(gamma_def(3, n - 1, 0), denominator),
-        correction=Fraction(correction_aggregate(3, n), denominator),
-    )
+    step, denominator = tau_recurrence_step(3, n), tau_series(3, n - 1)
+    return RatioParts(*(Fraction(term, denominator) for term in
+                        (step.parity_term, step.gamma0_term, step.correction_total)))
 
 
 class RatioRow(NamedTuple):

@@ -155,7 +155,9 @@ def suite_gammas(max_cells: int | None = None) -> Iterator[CheckResult]:
 
 def _step_check(s: int, max_n: int) -> CheckResult:
     """The totals step on the definitional rows against the series totals, which read
-    no table row, from the first step (n = 1 for s = 2, else n = s) to `max_n`."""
+    no table row, from n = 1 for s = 2, else n = s, to `max_n`. This range and its
+    skip record are pinned by the `tau` golden digests and perfbench's `verify-cli`
+    outputs; they are not the step's domain, which starts at n = 1 at every width."""
     name = f"tau{s}-step-breakdown"
     lo = 1 if s == 2 else s
     if s > 2 and max_n < s:

@@ -69,6 +69,12 @@ def test_ballot_entries():
         ballot_entry(1, 3)
 
 
+def test_the_ballot_gate_admits_negative_pairs_that_hold_no_shape():
+    # 2j-k and j-k are both >= 0 here, and (2j-k, j-k) has i > n // 2
+    for j, k in ((0, -1), (1, -2), (-1, -2)):
+        assert ballot_entry(j, k) == 0
+
+
 # --- definitional entries and corrections ------------------------------------
 
 def test_gamma_def_examples():

@@ -8,12 +8,11 @@ import sytcount.gamma as gamma
 import sytcount.sequences as seq
 from sytcount._memo import Memo
 from sytcount.counting import listed_counts
-from sytcount.sequences import (RatioParts, RecurrenceMismatchError,
-                                approx_decimal, catalan, central_binomial,
-                                correction_aggregate, involutions, motzkin,
-                                parity_indicator, ratio, ratio_decomposition,
-                                ratio_table, tau, tau_growth,
-                                tau_recurrence_step, tau_series)
+from sytcount.sequences import (RatioParts, RecurrenceMismatchError, TauRecurrenceTerms,
+                                approx_decimal, catalan, central_binomial, involutions,
+                                motzkin, parity_indicator, ratio, ratio_decomposition,
+                                ratio_table, tau, tau_growth, tau_recurrence_step,
+                                tau_series)
 from sytcount.shapes import partitions_at_most
 from sytcount.verify import compare_methods
 
@@ -236,18 +235,14 @@ def test_a_series_step_that_fails_part_way_leaves_nothing_behind(monkeypatch):
 
 
 def test_recurrence_step_desk_values():
-    step = tau_recurrence_step(3, 4)
-    assert (step.main, step.parity_term, step.gamma0_term,
-            step.correction_total) == (12, 0, 2, 1)
-    assert step.value == 9
-    step = tau_recurrence_step(3, 6)
-    assert (step.main, step.parity_term, step.gamma0_term,
-            step.correction_total) == (63, 0, 7, 5)
-    assert step.value == 51
-    step = tau_recurrence_step(2, 5)
-    assert (step.main, step.parity_term, step.gamma0_term,
-            step.correction_total) == (12, 2, 0, 0)
-    assert step.value == 10
+    # (main, parity, gamma0, corrections, value); the last three are below the width
+    anchors = {(3, 4): (12, 0, 2, 1, 9), (3, 6): (63, 0, 7, 5, 51),
+               (2, 5): (12, 2, 0, 0, 10), (3, 1): (3, 1, 1, 0, 1),
+               (3, 2): (3, 0, 1, 0, 2), (5, 4): (20, 0, 2, 8, 10)}
+    for (s, n), anchor in anchors.items():
+        step = tau_recurrence_step(s, n)
+        assert (step.main, step.parity_term, step.gamma0_term, step.correction_total,
+                step.value) == anchor
 
 
 def test_recurrence_step_both_methods():
@@ -263,11 +258,24 @@ def test_recurrence_step_rejects_small_n():
     with pytest.raises(ValueError):
         tau_recurrence_step(2, 0)
     with pytest.raises(ValueError):
-        tau_recurrence_step(3, 2)
-    with pytest.raises(ValueError):
-        tau_recurrence_step(5, 4)
+        tau_recurrence_step(3, 0)
     with pytest.raises(ValueError):
         tau_recurrence_step(3, 5, method="sideways")
+
+
+def test_recurrence_step_holds_below_the_width():
+    for s in range(3, 9):
+        for n in range(1, s):
+            for method in ("definition", "recurrence"):
+                assert tau_recurrence_step(s, n, method).value == tau_series(s, n)
+
+
+def test_a_recurrence_total_certifies_every_step_from_the_first(cold):
+    assert tau(5, 4, "recurrence") == 10
+    steps = list(seq._steps_checked[5]._terms)
+    assert steps[0] is None
+    assert [(step.__class__, step.n) for step in steps[1:]] == [
+        (TauRecurrenceTerms, n) for n in range(1, 5)]
 
 
 def test_recurrence_step_raises_on_mismatch(monkeypatch):
@@ -360,11 +368,9 @@ def test_non_integer_arguments_raise_a_type_error_cold_and_warm(cold):
 
 
 def test_correction_aggregate_values():
-    assert correction_aggregate(2, 9) == 0
-    assert correction_aggregate(3, 4) == 1
-    assert correction_aggregate(3, 5) == 0
-    assert correction_aggregate(3, 6) == 5
-    assert correction_aggregate(4, 4) == 4
+    totals = {(2, 9): 0, (3, 4): 1, (3, 5): 0, (3, 6): 5, (4, 4): 4}
+    for (s, n), total in totals.items():
+        assert tau_recurrence_step(s, n).correction_total == total
 
 
 def test_ratio_examples():
