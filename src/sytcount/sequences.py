@@ -110,6 +110,24 @@ def tau_growth(s: int, n: int) -> int:
 # is the binomial convolution and stays integral. The determinant is e^x or 1 times the
 # pivots of an elimination without row swaps, and coefficient n of a product or quotient
 # reads only coefficients <= n of its inputs, so the elimination runs one n at a time.
+# The first product, e^x or 1 times pivot 0, needs no convolution. For even s it is
+# pivot 0 itself. For odd s it is e^x (I_0 - I_2), with coefficient n T(n, 0) - T(n, 2),
+# where T(n, v) = [t^v] (1 + t + 1/t)^n is coefficient n of y = e^x I_v(2x). By the
+# modified Bessel equation, x^2 y'' + x(1 - 2x) y' - (3x^2 + x + v^2) y = 0, so
+# (n^2 - v^2) T(n, v) = n(2n - 1) T(n-1, v) + 3n(n - 1) T(n-2, v) for n > v, from
+# T(n, v) = 0 for n < v and T(v, v) = 1. So a width with one pivot (s = 2, 3) does
+# O(1) integer work per term beside its Bessel coefficients, and keeps no binomial row.
+
+def _trinomial(terms: list[int], n: int, v: int) -> int:
+    """T(n, v), from T(n-1, v) and T(n-2, v) at those indices of `terms`."""
+    if n <= v:
+        return 1 if n == v else 0
+    numerator = n * (2 * n - 1) * terms[n - 1] + 3 * n * (n - 1) * terms[n - 2]
+    quotient, remainder = divmod(numerator, n * n - v * v)
+    if remainder:
+        raise ArithmeticError(f"trinomial recurrence lost exactness at T({n}, {v})")
+    return quotient
+
 
 @MemoMap
 def _series_states(s: int) -> Memo:
@@ -119,35 +137,41 @@ def _series_states(s: int) -> Memo:
     It counts at most s rows, hence by conjugation at most s columns."""
     m, odd = divmod(s, 2)
     # Only these series keep their history: row k with rows 0..k-1 eliminated (entries
-    # k..m-1, the pivot first), the factors that eliminate it from the rows below, and
-    # e^x or 1 times pivots 0..k-1. Every other entry needs only its coefficient n.
+    # k..m-1, the pivot first), the factors that eliminate it from the rows below,
+    # e^x or 1 times pivots 0..k-1 for k >= 1, and for odd s T(n, 0) and T(n, 2).
+    # Every other entry needs only its coefficient n.
     rows = [[[] for _ in range(k, m)] for k in range(m)]
     factors = [[[] for _ in range(k + 1, m)] for k in range(m)]
-    products = [[] for _ in range(m)]
+    products = [[] for _ in range(1, m)]  # products[k - 1] multiplies pivot k
+    trinomials = {0: [], 2: []} if odd else {}
     binomial = [1]  # C(n, j) for j = 0..n
 
     def step(totals: list[int]) -> int:
         nonlocal binomial
         n = len(totals)
-        for series in chain(*rows, *factors, products):
+        for series in chain(*rows, *factors, products, trinomials.values()):
             del series[n:]  # drop what clear() or a failed step left past n
         if not n:
             binomial = [1]
+        for v, terms in trinomials.items():
+            terms.append(_trinomial(terms, n, v))
         bessel = [comb(n, (n - v) // 2) if n >= v and (n - v) % 2 == 0 else 0
                   for v in range(2 * m + 1)]
         entry = [[bessel[abs(i - j)] + (-1) ** odd * bessel[i + j + 1 + odd]
                   for j in range(m)] for i in range(m)]
-        products[0].append(1 if odd or not n else 0)  # e^x or 1
         for k, row in enumerate(rows):
             for series, x in zip(row, entry[k][k:]):
                 series.append(x)
             pivot = row[0]
             if pivot[0] != 1:  # the factors are exact only while it is 1
                 raise ArithmeticError(f"width-{s} pivot {k} has constant term {pivot[0]}")
-            total = sum(map(mul, map(mul, binomial, products[k]), reversed(pivot)))
+            if k:
+                total = sum(map(mul, map(mul, binomial, products[k - 1]), reversed(pivot)))
+            else:
+                total = trinomials[0][n] - trinomials[2][n] if odd else pivot[n]
             if k + 1 == m:  # the last pivot has no rows below it
                 break
-            products[k + 1].append(total)
+            products[k].append(total)
             # factor * pivot = entry: q_n = e_n - sum_{j=1..n} C(n, j) p_j q_{n-j}
             weights = list(map(mul, binomial[:0:-1], pivot[:0:-1]))  # j = n..1
             for factor, lower in zip(factors[k], entry[k + 1:]):
@@ -155,7 +179,8 @@ def _series_states(s: int) -> Memo:
                 scaled = list(map(mul, binomial, reversed(factor)))  # C(n, j) q_{n-j}
                 for c, series in enumerate(row[1:], k + 1):
                     lower[c] -= sum(map(mul, scaled, series))
-        binomial = [1, *map(add, binomial, binomial[1:]), 1]  # for step n + 1
+        if m > 1:  # one pivot convolves nothing
+            binomial = [1, *map(add, binomial, binomial[1:]), 1]  # for step n + 1
         return total
 
     return Memo([], step)

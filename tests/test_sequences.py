@@ -223,15 +223,45 @@ def test_series_pivot_without_unit_constant_term_raises(monkeypatch):
 
 
 def test_a_series_step_that_fails_part_way_leaves_nothing_behind(monkeypatch):
-    expected = [tau_series(7, n) for n in range(21)]
-    seq._series_states.pop(7, None)
-    assert tau_series(7, 9) == expected[9]
-    # step 10 appends coefficient 10 of row 0 and of e^x, then fails in its first product
+    # width 4 reads its first product as pivot 0, width 7 from the trinomial terms
+    expected = {s: [tau_series(s, n) for n in range(21)] for s in (4, 7)}
+    for s in expected:
+        seq._series_states.pop(s, None)
+        assert tau_series(s, 9) == expected[s][9]
+    # step 10 appends coefficient 10 of row 0 (and at width 7 T(10, 0) and T(10, 2)),
+    # then fails in its first convolution, the weights that eliminate row 0
     monkeypatch.setattr(seq, "mul", lambda a, b: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        tau_series(7, 10)
+    for s in expected:
+        with pytest.raises(ZeroDivisionError):
+            tau_series(s, 10)
     monkeypatch.undo()
-    assert [tau_series(7, n) for n in range(21)] == expected
+    assert {s: [tau_series(s, n) for n in range(21)] for s in expected} == expected
+
+
+def test_one_pivot_widths_convolve_nothing(monkeypatch):
+    for s in (2, 3):
+        seq._series_states.pop(s, None)
+    monkeypatch.setattr(seq, "mul", lambda a, b: 1 / 0)
+    for n in range(301):
+        assert tau_series(2, n) == comb(n, n // 2)
+        assert tau_series(3, n) == motzkin(n)
+
+
+def test_inexact_trinomial_division_raises_and_leaves_no_term(monkeypatch):
+    expected = {s: [tau_series(s, n) for n in range(21)] for s in (3, 5)}
+    assert expected[3] == [motzkin(n) for n in range(21)]
+    assert expected[5][:11] == TAU5_PREFIX
+    for s in expected:
+        seq._series_states.pop(s, None)
+        assert tau_series(s, 9) == expected[s][9]
+    # T(10, 0) divides by 100 and is kept; T(10, 2) divides by 96 and fails
+    monkeypatch.setattr(seq, "divmod", lambda a, b: (a // b, int(b == 96)), raising=False)
+    for s in expected:
+        with pytest.raises(ArithmeticError, match=r"trinomial recurrence .* T\(10, 2\)"):
+            tau_series(s, 10)
+    monkeypatch.undo()
+    assert {s: [tau_series(s, n) for n in range(21)] for s in expected} == expected
+
 
 
 def test_recurrence_step_desk_values():
