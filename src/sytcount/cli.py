@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.add_argument("--max-cells", type=int, metavar="N")
     p_tau.add_argument("--method", choices=TAU_METHODS, default="definition")
     p_tau.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_tau.add_argument("--out", metavar="FILE")
     p_tau.set_defaults(handler=_cmd_tau)
 
     p_gamma = sub.add_parser("gamma", help="one table entry (n cells, difference i)")
@@ -67,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma.add_argument("--cells", type=int, required=True, metavar="N")
     p_gamma.add_argument("--diff", type=int, required=True, metavar="I")
     p_gamma.add_argument("--method", choices=tuple(TABLE_METHODS), default="definition")
-    p_gamma.add_argument("--out", metavar="FILE")
     p_gamma.set_defaults(handler=_cmd_gamma)
 
     p_table = sub.add_parser("table", help="full triangular table up to a cell count")
@@ -75,13 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-cells", type=int, required=True, metavar="N")
     p_table.add_argument("--method", choices=tuple(TABLE_METHODS), default="definition")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--out", metavar="FILE")
     p_table.set_defaults(handler=_cmd_table)
 
     p_hook = sub.add_parser("hook", help="count fillings of one shape by hook lengths")
     p_hook.add_argument("--shape", required=True, metavar="COLS",
                         help='comma-separated column lengths, e.g. "4,2,1"')
-    p_hook.add_argument("--out", metavar="FILE")
     p_hook.set_defaults(handler=_cmd_hook)
 
     p_oracle = sub.add_parser("oracle",
@@ -89,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--shape", required=True, metavar="COLS")
     p_oracle.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                           metavar="CELLS", help="enumeration safety cap (default 16)")
-    p_oracle.add_argument("--out", metavar="FILE")
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_ratio = sub.add_parser("ratio", help="exact consecutive-totals ratio table")
@@ -98,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--decompose", action="store_true",
                          help="add the three deficit shares (width 3 only)")
     p_ratio.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ratio.add_argument("--out", metavar="FILE")
     p_ratio.set_defaults(handler=_cmd_ratio)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -107,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="ranges become N; capped ranges stay at most their default")
     p_verify.add_argument("--oracle-cap", type=int, metavar="CELLS")
     p_verify.add_argument("--format", choices=("csv", "json"), default="json")
-    p_verify.add_argument("--out", metavar="FILE")
     p_verify.set_defaults(handler=_cmd_verify)
 
+    for command in sub.choices.values():  # every subcommand's last option
+        command.add_argument("--out", metavar="FILE")
     return parser
 
 
@@ -242,7 +237,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         code = exc.code
         return code if isinstance(code, int) else USAGE_ERROR
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:

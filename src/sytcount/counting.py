@@ -14,13 +14,18 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations, islice, starmap
 from math import factorial, prod
 from operator import add, gt, sub
 
 from .shapes import ColumnShape, conjugate
 
 DEFAULT_ENUMERATION_CAP = 16
+# `listed_counts` lists whole levels, then the last _LAST_LEVELS below each node, each level
+# in one call into C. More last levels make fewer calls but longer lists below a node: at 6
+# the oracle suite's listing and `oracle --shape 6,5,3,2` each peak under 0.1 MiB, and each
+# level more raises the suite's peak by half or more.
+_LAST_LEVELS = 6
 
 
 class HookDivisionError(ArithmeticError):
@@ -80,34 +85,31 @@ def syt_count_recursive(shape: ColumnShape) -> int:
 
 def listed_counts(bounds: tuple[int, ...], cells: int) -> Counter:
     """Lists the fillings of 1..m (m <= `cells`) with column k at most `bounds[k]` tall,
-    tallied by column tuple (no trailing zeros). A walk with one iterator per level counts
-    each node's children; three levels above the leaves it lists the rest level by level."""
+    tallied by column tuple (no trailing zeros). Each filling is one list entry: the walk
+    lists whole levels down to `_LAST_LEVELS` above the leaves, then the last levels below
+    each node it reached there."""
     if cells.__class__ is not int:  # True would list one level
         raise TypeError(f"cells must be an integer, got {cells!r}")
     if cells < 0:
         raise ValueError("cells must be >= 0")
-    kids, level = {}, [()]  # each shape on fewer than `cells` cells: the shapes it grows
-    for _ in range(cells):
-        for shape in level:
+    number, children, level = {(): 0}, [], [()]  # shape i grows the shapes children[i]
+    for _ in range(cells):  # the walk lists numbers: an int hashes faster than a tuple
+        first = len(number)
+        for shape in level:  # a shape is numbered the first time it is reached
             cols = shape + (0,)
-            kids[shape] = tuple(shape[:k] + (cols[k] + 1,) + shape[k + 1:]
-                                for k in range(min(len(cols), len(bounds)))
-                                if cols[k] < bounds[k] and (not k or cols[k] < cols[k - 1]))
-        level = dict.fromkeys(chain.from_iterable(map(kids.__getitem__, level)))
-    shapes = [*kids, *level]  # walked by number: an int hashes faster than a tuple
-    number = dict(zip(shapes, range(len(shapes)))).__getitem__
-    children = [tuple(map(number, below)) for below in kids.values()].__getitem__
-    tally, stack = Counter([0]), [iter([0])] if cells else []
-    while stack:
-        for node in stack[-1]:  # the number of a shape on len(stack) - 1 cells
-            below = children(node)
+            children.append([number.setdefault(shape[:k] + (cols[k] + 1,) + shape[k + 1:],
+                                               len(number))
+                             for k in range(min(len(cols), len(bounds)))
+                             if cols[k] < bounds[k] and (not k or cols[k] < cols[k - 1])])
+        # the shapes this level numbered, the dict's last, in the order of their numbers
+        level = [*islice(reversed(number), len(number) - first)][::-1]
+    children, tally, nodes = children.__getitem__, Counter([0]), [0]
+    for _ in range(cells - _LAST_LEVELS):  # nodes: one entry per filling on this level
+        nodes = [*chain.from_iterable(map(children, nodes))]
+        tally.update(nodes)
+    for node in nodes:
+        below = [node]
+        for _ in range(min(cells, _LAST_LEVELS)):
+            below = [*chain.from_iterable(map(children, below))]
             tally.update(below)
-            if len(stack) + 3 < cells:
-                stack.append(iter(below))
-                break
-            for _ in range(cells - len(stack)):  # each filling below is one list entry
-                below = [*chain.from_iterable(map(children, below))]
-                tally.update(below)
-        else:
-            stack.pop()
-    return Counter(dict(zip(map(shapes.__getitem__, tally), tally.values())))
+    return Counter(dict(zip(map([*number].__getitem__, tally), tally.values())))

@@ -71,6 +71,22 @@ def test_tau_usage_errors(capsys):
     assert invoke(capsys, "tau", "--columns", "1", "--cells", "4")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tau", "--columns", "3", "--cells", "-1"], "--cells must be >= 0"),
+    (["tau", "--columns", "3", "--max-cells", "-1"], "--max-cells must be >= 0"),
+    (["gamma", "--columns", "3", "--cells", "-1", "--diff", "0"],
+     "--cells and --diff must be >= 0"),
+    (["gamma", "--columns", "3", "--cells", "4", "--diff", "-1"],
+     "--cells and --diff must be >= 0"),
+    (["table", "--columns", "3", "--max-cells", "-1"], "--max-cells must be >= 0"),
+    (["ratio", "--columns", "1", "--max-cells", "4"], "--columns must be at least 2"),
+    (["ratio", "--columns", "3", "--max-cells", "0"], "--max-cells must be >= 1")])
+def test_count_gates_exit_two_with_their_messages(capsys, argv, message):
+    status, out, err = invoke(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.endswith(f"sytcount: error: {message}\n")
+
+
 def test_gamma_entry(capsys):
     assert invoke(capsys, "gamma", "--columns", "4", "--cells", "4",
                   "--diff", "1")[1] == "3\n"
@@ -230,6 +246,12 @@ def test_verify_rejects_negative_oracle_cap(capsys):
     assert "--oracle-cap must be >= 0" in err
     with pytest.raises(ValueError):
         run_suite("oracle", max_cells=4, oracle_cap=-1)
+
+
+def test_run_suite_rejects_an_unknown_suite_naming_the_known_ones():
+    with pytest.raises(ValueError, match=re.escape(f"unknown suite 'nope'; expected one of "
+                                                   f"{verify.SUITE_NAMES}")):
+        run_suite("nope")
 
 
 @pytest.mark.parametrize("suite", ["tau", "alpha", "oracle", "all"])

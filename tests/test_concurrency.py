@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
+import pytest
+
 from sytcount._memo import Memo, MemoMap
 import sytcount.gamma as gamma
 from sytcount.gamma import correction_r, gamma_def, gamma_rec
@@ -114,6 +116,14 @@ def test_memo_map_makes_each_width_once_under_threads():
     assert sorted(made) == [3, 5, 7] and sorted(memos) == [3, 5, 7]
     expected = [(id(memos[s]), s + 200) for s in (7, 3, 7, 5)]
     assert results == [expected] * THREADS
+
+
+def test_a_fresh_memo_map_refuses_a_float_width():
+    made = []
+    memos = MemoMap(made.append)
+    with pytest.raises(TypeError, match=r"^memo widths are integers, not 3\.0$"):
+        memos[3.0]
+    assert made == [] and not memos
 
 
 def test_threads_on_one_cold_width_step_each_sweep_level_once(cold, monkeypatch):

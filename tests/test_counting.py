@@ -44,7 +44,8 @@ def test_listing_examples():
         assert listed_counts(cols, sum(cols))[cols] == count
 
 
-@pytest.mark.parametrize("n", range(13))  # n <= 4 lists from the root, larger n descend
+# n <= 6 lists only the last levels, from the root; larger n list whole levels first
+@pytest.mark.parametrize("n", range(13))
 def test_walk_tallies_need_no_memo(monkeypatch, n):
     def refuse(cols):
         raise AssertionError(f"the walk read a memo for {cols}")
@@ -55,6 +56,13 @@ def test_walk_tallies_need_no_memo(monkeypatch, n):
     assert sorted(tally) == sorted(shapes) and (n < 12 or len(tally) == 227)
     for cols in shapes:
         assert tally[cols] == syt_count_hook_product(ColumnShape(cols)), cols
+
+
+@pytest.mark.parametrize("last_levels", [0, 1, 5, 7, 10, 11])
+def test_any_boundary_between_the_phases_lists_the_same_fillings(monkeypatch, last_levels):
+    expected = listed_counts((10,) * 5, 10)
+    monkeypatch.setattr(counting, "_LAST_LEVELS", last_levels)
+    assert listed_counts((10,) * 5, 10) == expected
 
 
 def test_column_heights_bound_the_listing():

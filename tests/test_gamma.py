@@ -194,6 +194,8 @@ def test_build_table_routes_agree():
         build_table(3, 5, "sideways")
     with pytest.raises(ValueError):
         build_table(1, 5, DEFINITIONAL)
+    with pytest.raises(ValueError, match=r"^max_n must be >= 0$"):
+        build_table(3, -1)
 
 
 def test_two_column_table_is_the_alpha_triangle():
