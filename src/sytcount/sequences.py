@@ -117,6 +117,26 @@ def tau_growth(s: int, n: int) -> int:
 # (n^2 - v^2) T(n, v) = n(2n - 1) T(n-1, v) + 3n(n - 1) T(n-2, v) for n > v, from
 # T(n, v) = 0 for n < v and T(v, v) = 1. So a width with one pivot (s = 2, 3) does
 # O(1) integer work per term beside its Bessel coefficients, and keeps no binomial row.
+# A width with two pivots (s = 4, 5) eliminates nothing: its determinant
+# M00 M11 - M01 M10 is a signed sum of products I_a(2x) I_b(2x), each of whose
+# coefficients is a product of two binomials. So s = 4 convolves nothing, and s = 5
+# only the minor with e^x.
+
+def _gessel_entry(i: int, j: int, odd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two (Bessel index, sign) terms of entry (i, j), 0 <= i, j < s // 2, of
+    Gessel's matrix: I_|i-j| + I_(i+j+1) at even s, I_|i-j| - I_(i+j+2) at odd s."""
+    return (abs(i - j), 1), (i + j + 1 + odd, (-1) ** odd)
+
+
+def _bessel_pair(n: int, a: int, b: int) -> int:
+    """Coefficient n of I_a(2x) I_b(2x), for a, b >= 0."""
+    # It counts the n-step walks on Z^2 from the origin to (a, b). Turned by 45 degrees,
+    # a step moves x + y and x - y by 1 each, independently: two +-1 walks, to a + b and
+    # to a - b.
+    if n < a + b or (n + a + b) % 2:
+        return 0
+    return comb(n, (n + a + b) // 2) * comb(n, (n + a - b) // 2)
+
 
 def _trinomial(terms: list[int], n: int, v: int) -> int:
     """T(n, v), from T(n-1, v) and T(n-2, v) at those indices of `terms`."""
@@ -131,11 +151,32 @@ def _trinomial(terms: list[int], n: int, v: int) -> int:
 
 @MemoMap
 def _series_states(s: int) -> Memo:
-    """tau_s(n) from Gessel's determinant, 1 <= i, j <= m = s // 2:
-    det[I_{i-j} + I_{i+j-1}] for s = 2m, e^x det[I_{i-j} - I_{i+j}] for s = 2m+1,
-    where I_v(2x) has coefficient C(n, (n-|v|)/2) when n >= |v| and n = v mod 2.
-    It counts at most s rows, hence by conjugation at most s columns."""
+    """tau_s(n) from Gessel's determinant of the m x m matrix of `_gessel_entry`,
+    m = s // 2, times e^x at odd s, where I_v(2x) has coefficient C(n, (n-|v|)/2)
+    when n >= |v| and n = v mod 2. It counts at most s rows, hence by conjugation at
+    most s columns."""
     m, odd = divmod(s, 2)
+    matrix = [[_gessel_entry(i, j, odd) for j in range(m)] for i in range(m)]
+    if m == 2:  # M00 M11 - M01 M10 as signed pairs (a, b, c): c I_a(2x) I_b(2x)
+        pairs = [(a, b, sign * x * y) for j, sign in ((0, 1), (1, -1))
+                 for a, x in matrix[0][j] for b, y in matrix[1][1 - j]]
+        minors, binomial = [], []  # at odd s, the minor's terms and C(n, j) for j = 0..n
+
+        def minor_step(totals: list[int]) -> int:
+            nonlocal binomial
+            n = len(totals)
+            minor = sum(c * _bessel_pair(n, a, b) for a, b, c in pairs)
+            if not odd:
+                return minor
+            del minors[n:]  # drop what clear() or a failed step left past n
+            if not n:
+                binomial = [1]
+            minors.append(minor)
+            total = sum(map(mul, binomial, minors))  # e^x times the minor
+            binomial = [1, *map(add, binomial, binomial[1:]), 1]  # for step n + 1
+            return total
+
+        return Memo([], minor_step)
     # Only these series keep their history: row k with rows 0..k-1 eliminated (entries
     # k..m-1, the pivot first), the factors that eliminate it from the rows below,
     # e^x or 1 times pivots 0..k-1 for k >= 1, and for odd s T(n, 0) and T(n, 2).
@@ -157,8 +198,8 @@ def _series_states(s: int) -> Memo:
             terms.append(_trinomial(terms, n, v))
         bessel = [comb(n, (n - v) // 2) if n >= v and (n - v) % 2 == 0 else 0
                   for v in range(2 * m + 1)]
-        entry = [[bessel[abs(i - j)] + (-1) ** odd * bessel[i + j + 1 + odd]
-                  for j in range(m)] for i in range(m)]
+        entry = [[x * bessel[u] + y * bessel[v] for (u, x), (v, y) in row]
+                 for row in matrix]
         for k, row in enumerate(rows):
             for series, x in zip(row, entry[k][k:]):
                 series.append(x)

@@ -19,6 +19,8 @@ CALLS = {
     "tau_growth(4, 50)": lambda: tau_growth(4, 50),
     "tau(4, 30, 'recurrence')": lambda: tau(4, 30, "recurrence"),
     "gamma_rec(4, 40, 5)": lambda: gamma_rec(4, 40, 5),
+    # m = 2: threads read the 2 x 2 minor, and at s = 5 extend its terms together
+    "tau_series(4, 60)": lambda: tau_series(4, 60),
     "tau_series(5, 60)": lambda: tau_series(5, 60),
     # m = 3: threads extend the pivot rows, factors and products of one width together
     "tau_series(7, 60)": lambda: tau_series(7, 60),
@@ -84,7 +86,8 @@ def test_memos_extend_correctly_under_threads(cold):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     expected = dict(zip(CALLS, (_at_most_four_columns(50), _at_most_four_columns(30),
-                                gamma_def(4, 40, 5), _at_most_five_columns(60),
+                                gamma_def(4, 40, 5), _at_most_four_columns(60),
+                                _at_most_five_columns(60),
                                 6889438252826307258236860627500081568135)))
     assert results == [expected] * THREADS
     # the memos were left consistent, not poisoned

@@ -211,7 +211,7 @@ def test_cleared_series_memo_restarts_from_term_zero(monkeypatch):
 
 
 def test_series_pivot_without_unit_constant_term_raises(monkeypatch):
-    expected = {s: [tau_series(s, n) for n in range(21)] for s in (4, 7)}
+    expected = {s: [tau_series(s, n) for n in range(21)] for s in (6, 7)}
     for s in expected:
         seq._series_states.pop(s, None)
     monkeypatch.setattr(seq, "comb", lambda n, k: 2 * comb(n, k))
@@ -223,12 +223,14 @@ def test_series_pivot_without_unit_constant_term_raises(monkeypatch):
 
 
 def test_a_series_step_that_fails_part_way_leaves_nothing_behind(monkeypatch):
-    # width 4 reads its first product as pivot 0, width 7 from the trinomial terms
-    expected = {s: [tau_series(s, n) for n in range(21)] for s in (4, 7)}
+    # width 5 reads its 2 x 2 minor, width 6 its first product as pivot 0 and width 7
+    # from the trinomial terms
+    expected = {s: [tau_series(s, n) for n in range(21)] for s in (5, 6, 7)}
     for s in expected:
         seq._series_states.pop(s, None)
         assert tau_series(s, 9) == expected[s][9]
-    # step 10 appends coefficient 10 of row 0 (and at width 7 T(10, 0) and T(10, 2)),
+    # step 10 at width 5 appends minor 10, then fails in its e^x convolution; at widths
+    # 6 and 7 it appends coefficient 10 of row 0 (and at width 7 T(10, 0) and T(10, 2)),
     # then fails in its first convolution, the weights that eliminate row 0
     monkeypatch.setattr(seq, "mul", lambda a, b: 1 / 0)
     for s in expected:
@@ -247,10 +249,28 @@ def test_one_pivot_widths_convolve_nothing(monkeypatch):
         assert tau_series(3, n) == motzkin(n)
 
 
+def test_width_four_convolves_nothing(cold, monkeypatch):
+    # its 2 x 2 minor is a signed sum of Bessel pairs, each a product of two binomials
+    monkeypatch.setattr(seq, "mul", lambda a, b: 1 / 0)
+    for n in range(301):
+        assert tau_series(4, n) == _catalan((n + 1) // 2) * _catalan((n + 2) // 2)
+
+
+def test_bessel_pair_is_the_convolution_of_two_bessel_series():
+    def bessel(n, v):  # coefficient n of I_v(2x)
+        return comb(n, (n - v) // 2) if n >= v and (n - v) % 2 == 0 else 0
+
+    for a in range(7):
+        for b in range(7):
+            for n in range(41):
+                assert seq._bessel_pair(n, a, b) == sum(
+                    comb(n, k) * bessel(k, a) * bessel(n - k, b) for k in range(n + 1))
+
+
 def test_inexact_trinomial_division_raises_and_leaves_no_term(monkeypatch):
-    expected = {s: [tau_series(s, n) for n in range(21)] for s in (3, 5)}
+    assert [tau_series(5, n) for n in range(11)] == TAU5_PREFIX
+    expected = {s: [tau_series(s, n) for n in range(21)] for s in (3, 7)}
     assert expected[3] == [motzkin(n) for n in range(21)]
-    assert expected[5][:11] == TAU5_PREFIX
     for s in expected:
         seq._series_states.pop(s, None)
         assert tau_series(s, 9) == expected[s][9]
