@@ -115,8 +115,9 @@ def tau_growth(s: int, n: int) -> int:
 # where T(n, v) = [t^v] (1 + t + 1/t)^n is coefficient n of y = e^x I_v(2x). By the
 # modified Bessel equation, x^2 y'' + x(1 - 2x) y' - (3x^2 + x + v^2) y = 0, so
 # (n^2 - v^2) T(n, v) = n(2n - 1) T(n-1, v) + 3n(n - 1) T(n-2, v) for n > v, from
-# T(n, v) = 0 for n < v and T(v, v) = 1. So a width with one pivot (s = 2, 3) does
-# O(1) integer work per term beside its Bessel coefficients, and keeps no binomial row.
+# T(n, v) = 0 for n < v and T(v, v) = 1. A width with one pivot (s = 2, 3) eliminates
+# nothing: its term n is coefficient n of entry (0, 0), or of e^x times it, a signed sum
+# of binomials or of trinomial coefficients.
 # A width with two pivots (s = 4, 5) eliminates nothing: its determinant
 # M00 M11 - M01 M10 is a signed sum of products I_a(2x) I_b(2x), each of whose
 # coefficients is a product of two binomials. So s = 4 convolves nothing, and s = 5
@@ -157,6 +158,21 @@ def _series_states(s: int) -> Memo:
     most s columns."""
     m, odd = divmod(s, 2)
     matrix = [[_gessel_entry(i, j, odd) for j in range(m)] for i in range(m)]
+    if m == 1:  # entry (0, 0); at odd s, e^x I_v(2x) has coefficient T(n, v)
+        entry = matrix[0][0]
+        trinomials = {v: [] for v, _ in entry} if odd else {}  # T(k, v), k = 0..n
+
+        def entry_step(totals: list[int]) -> int:
+            n = len(totals)
+            if not odd:
+                return sum(x * comb(n, (n - v) // 2) for v, x in entry
+                           if n >= v and (n - v) % 2 == 0)
+            for v, terms in trinomials.items():
+                del terms[n:]  # drop what clear() or a failed step left past n
+                terms.append(_trinomial(terms, n, v))
+            return sum(x * trinomials[v][n] for v, x in entry)
+
+        return Memo([], entry_step)
     if m == 2:  # M00 M11 - M01 M10 as signed pairs (a, b, c): c I_a(2x) I_b(2x)
         pairs = [(a, b, sign * x * y) for j, sign in ((0, 1), (1, -1))
                  for a, x in matrix[0][j] for b, y in matrix[1][1 - j]]
@@ -220,8 +236,7 @@ def _series_states(s: int) -> Memo:
                 scaled = list(map(mul, binomial, reversed(factor)))  # C(n, j) q_{n-j}
                 for c, series in enumerate(row[1:], k + 1):
                     lower[c] -= sum(map(mul, scaled, series))
-        if m > 1:  # one pivot convolves nothing
-            binomial = [1, *map(add, binomial, binomial[1:]), 1]  # for step n + 1
+        binomial = [1, *map(add, binomial, binomial[1:]), 1]  # for step n + 1
         return total
 
     return Memo([], step)
@@ -373,13 +388,15 @@ class RatioParts(NamedTuple):
 
 def ratio_decomposition(n: int) -> RatioParts:
     """Split 3 - ratio(3, n) into its parity, leading-entry and correction shares:
-    the subtracted terms of the verified step `tau_recurrence_step(3, n)`, each over
-    `tau_series(3, n - 1)`. The three parts sum to the deficit exactly."""
+    the subtracted terms of the verified step `tau_recurrence_step(3, n, "recurrence")`,
+    each over `tau_series(3, n - 1)`. The three parts sum to the deficit exactly. The
+    recurrence rows read no sweep level at width 3; the `ratio` suite checks the shares
+    against the definitional step's and the total against the series."""
     if n.__class__ is not int:  # True must not fail the range check first
         raise TypeError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise ValueError("the decomposition needs n >= 3")
-    step, denominator = tau_recurrence_step(3, n), tau_series(3, n - 1)
+    step, denominator = tau_recurrence_step(3, n, "recurrence"), tau_series(3, n - 1)
     return RatioParts(*(Fraction(term, denominator) for term in
                         (step.parity_term, step.gamma0_term, step.correction_total)))
 

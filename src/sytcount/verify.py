@@ -265,9 +265,13 @@ def suite_ratio(max_cells: int | None = None) -> Iterator[CheckResult]:
     if hi < 3:
         yield skip_check("ratio3-decomposition", "needs n >= 3")
         return
+    def definitional(n):  # the shares of the step on the sweep's rows, summed
+        step = tau_recurrence_step(3, n, "definition")
+        return Fraction(step.parity_term + step.gamma0_term + step.correction_total,
+                        tau_series(3, n - 1))
     yield _agree("ratio3-decomposition-exact", f"3<=n<={hi}", product(range(3, hi + 1)),
-                 [lambda n: ratio_decomposition(n).total, lambda n: 3 - ratio(3, n)],
-                 "decomposition at n={} does not sum to the deficit")
+                 [lambda n: ratio_decomposition(n).total, lambda n: 3 - ratio(3, n),
+                  definitional], "decomposition at n={} does not sum to the deficit")
     lo = 10
     if hi <= lo:
         yield skip_check("ratio3-decomposition-shrink", f"needs n > {lo}")

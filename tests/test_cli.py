@@ -576,6 +576,9 @@ BROKEN_RECORD_ROUTES = [
     ("ratio", "ratio3-decomposition-exact", 5, "ratio_decomposition", (7,),
      lambda parts: parts._replace(parity=parts.parity + 1), "3<=n<=12", 10,
      "decomposition at n=7 does not sum to the deficit"),
+    ("ratio", "ratio3-decomposition-exact", 5, "tau_recurrence_step", (3, 7, "definition"),
+     lambda t: replace(t, gamma0_term=t.gamma0_term + 1), "3<=n<=12", 10,
+     "decomposition at n=7 does not sum to the deficit"),
     ("oracle", "oracle-triple-agreement", 0, "syt_count_hook_product",
      (ColumnShape((3, 1)),), _inexact, "shapes with <=12 cells, <=6 columns", 227,
      "counts disagree on 3,1: hook=3, product=HookDivisionError(planted), removal=3, "

@@ -11,7 +11,8 @@ import pytest
 from sytcount._memo import Memo, MemoMap
 import sytcount.gamma as gamma
 from sytcount.gamma import correction_r, gamma_def, gamma_rec
-from sytcount.sequences import ratio, tau, tau_growth, tau_series
+from sytcount.sequences import (motzkin, ratio, ratio_decomposition, tau, tau_growth,
+                                tau_series)
 
 THREADS = 4
 JOIN_TIMEOUT_S = 120
@@ -24,6 +25,10 @@ CALLS = {
     "tau_series(5, 60)": lambda: tau_series(5, 60),
     # m = 3: threads extend the pivot rows, factors and products of one width together
     "tau_series(7, 60)": lambda: tau_series(7, 60),
+    # m = 1: threads extend the two trinomial lists of width 3 together
+    "tau_series(3, 60)": lambda: tau_series(3, 60),
+    # threads extend width 3's recurrence rows and checked steps together
+    "ratio_decomposition(40)": lambda: ratio_decomposition(40).total,
 }
 
 
@@ -88,7 +93,8 @@ def test_memos_extend_correctly_under_threads(cold):
     expected = dict(zip(CALLS, (_at_most_four_columns(50), _at_most_four_columns(30),
                                 gamma_def(4, 40, 5), _at_most_four_columns(60),
                                 _at_most_five_columns(60),
-                                6889438252826307258236860627500081568135)))
+                                6889438252826307258236860627500081568135,
+                                motzkin(60), 3 - Fraction(motzkin(40), motzkin(39)))))
     assert results == [expected] * THREADS
     # the memos were left consistent, not poisoned
     assert {name: call() for name, call in CALLS.items()} == expected

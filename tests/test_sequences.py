@@ -249,6 +249,18 @@ def test_one_pivot_widths_convolve_nothing(monkeypatch):
         assert tau_series(3, n) == motzkin(n)
 
 
+def test_odd_one_pivot_width_reads_only_trinomial_terms(cold, monkeypatch):
+    calls = []
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(seq, "comb", counting_comb)
+    assert tau_series(3, 300) == motzkin(300)
+    assert calls == []
+
+
 def test_width_four_convolves_nothing(cold, monkeypatch):
     # its 2 x 2 minor is a signed sum of Bessel pairs, each a product of two binomials
     monkeypatch.setattr(seq, "mul", lambda a, b: 1 / 0)
@@ -456,6 +468,23 @@ def test_ratio_decomposition_desk_values():
 def test_ratio_decomposition_sums_exactly():
     for n in range(3, 31):
         assert ratio_decomposition(n).total == 3 - ratio(3, n)
+
+
+def test_a_cold_decomposition_builds_no_sweep_level(cold, monkeypatch):
+    def no_level(lattice, s, n):
+        raise AssertionError(f"width {s} built sweep level {n}")
+
+    monkeypatch.setattr(gamma, "_next_level", no_level)
+    for n in range(3, 41):
+        assert ratio_decomposition(n).total == 3 - ratio(3, n)
+
+
+def test_decomposition_shares_are_the_definitional_step_terms():
+    for n in range(3, 61):
+        step, below = tau_recurrence_step(3, n, "definition"), tau_series(3, n - 1)
+        assert ratio_decomposition(n) == RatioParts(
+            *(Fraction(term, below)
+              for term in (step.parity_term, step.gamma0_term, step.correction_total)))
 
 
 def test_ratio_table():
